@@ -41,9 +41,6 @@ class ConfigError(ValueError):
     pass
 
 
-from .search import worker_count  # INEQ_LAB_THREADS cap, honored by searches
-
-
 # ---------------------------------------------------------------------------
 # config assembly
 
@@ -218,6 +215,8 @@ def _cmd_estimate(cfg) -> int:
     payload = {"target": which, "value": est.value, "method": est.method,
                "candidates": est.n_candidates, "excluded": est.n_excluded,
                "premise_degenerate": est.premise_degenerate,
+               "degenerate_witnesses": est.degenerate_witnesses,
+               "degenerate_entropy": est.degenerate_entropy,
                "notes": list(est.notes)}
     return _finish(cfg, f"estimate-{which}", payload, seed)
 

@@ -25,10 +25,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import search
-from .constants import implication_constants, kappa, tau_lsi_transport_constant
+from .constants import (
+    holley_factor_numeric,
+    implication_constants,
+    kappa_tilde,
+    tau_lsi_transport_constant,
+)
 from .infconv import lipschitz_seminorm, p_conv
 from .spaces import (
     FiniteMetricSpace,
@@ -147,6 +151,14 @@ def _tau_pieces(mu: np.ndarray, costs: np.ndarray, fs: np.ndarray):
     ent = (mu[None, :] * ef * fs).sum(axis=1) - mass * np.log(mass)
     defect = (mu[None, :] * ef * (fs - qs)).sum(axis=1)
     return ent, defect
+
+
+def _verdict(ratio: float, rel_tol: float) -> str:
+    """PASS at a violation ratio <= 1, INCONCLUSIVE within the relative
+    tolerance above it, FAIL beyond."""
+    if ratio <= 1.0:
+        return "PASS"
+    return "INCONCLUSIVE" if ratio <= 1.0 + rel_tol else "FAIL"
 
 
 def _two_point_transport(alpha_d: float, mu: np.ndarray,
@@ -747,8 +759,7 @@ def _chain_transport_to_tau(alpha, space, mu, seed, rel_tol, abs_tol, fractions)
             total += n_f
             if ratio > worst:
                 worst, witness = ratio, {"fraction": frac, "potential": wf.tolist()}
-        verdict = "PASS" if worst <= 1.0 else (
-            "INCONCLUSIVE" if worst <= 1.0 + rel_tol else "FAIL")
+        verdict = _verdict(worst, rel_tol)
     return VerificationReport(
         check="transport-to-tau-lsi",
         premise_constant=cstar,
@@ -815,8 +826,7 @@ def _chain_tau_to_transport(alpha, space, mu, seed, rel_tol, abs_tol, lam,
         scan = transport_constant_estimate(alpha, space, mu, seed=seed,
                                            budget=budget)
         worst = scan.value / (guaranteed * (1.0 + rel_tol))
-        verdict = "PASS" if worst <= 1.0 else (
-            "INCONCLUSIVE" if worst <= 1.0 + rel_tol else "FAIL")
+        verdict = _verdict(worst, rel_tol)
     return VerificationReport(
         check="tau-lsi-to-transport",
         premise_constant=math.inf if degenerate else est.value,
@@ -894,19 +904,13 @@ def holley_stroock(alpha: YoungFunction, space: FiniteMetricSpace,
     w = mu.weights * np.exp(phi)
     mu_t = ProbMeasure(w / w.sum())
     c_in = transport_constant
-    from .constants import kappa_tilde as _ktilde
-
-    c_tilde = _ktilde(p) * c_in * math.exp((p - 1.0) * osc)
+    c_tilde = kappa_tilde(p) * c_in * math.exp((p - 1.0) * osc)
     # intermediate route: kappa * inf_s 1/(s (1-s)^{p-1}) * C * e^{(p-1) Osc}
-    res = minimize_scalar(lambda s: 1.0 / (s * (1.0 - s) ** (p - 1.0)),
-                          bounds=(1e-9, 1 - 1e-9), method="bounded",
-                          options={"xatol": 1e-13})
-    c_inter = kappa(p) * float(res.fun) * c_in * math.exp((p - 1.0) * osc)
+    c_inter = holley_factor_numeric(p) * c_in * math.exp((p - 1.0) * osc)
     scan = transport_constant_estimate(alpha, space, mu_t, seed=seed)
     tightest = min(c_tilde, c_inter)
     worst = scan.value / (tightest * (1.0 + rel_tol))
-    verdict = "PASS" if worst <= 1.0 else (
-        "INCONCLUSIVE" if worst <= 1.0 + rel_tol else "FAIL")
+    verdict = _verdict(worst, rel_tol)
     report = VerificationReport(
         check="holley-stroock",
         premise_constant=c_in,

@@ -6,7 +6,8 @@ ever approached from below by evaluation):
 * dense scans over explicit candidate grids, effectively exhaustive on
   two- and three-point spaces;
 * seeded multistart projected ascent with finite-difference (or supplied)
-  gradients, step halving, and a simplex-interior clamp.
+  gradients, step halving, and a simplex-interior clamp; all starts run
+  in lock-step, one batched objective call per round.
 
 Degeneracy handling: on a finite space the entropy of a small perturbation
 of mu is quadratic in its size while the transport cost is linear, so the
@@ -20,9 +21,7 @@ two-point spaces.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,7 +31,6 @@ __all__ = [
     "ENTROPY_FLOOR",
     "DENOM_FLOOR",
     "SearchBudget",
-    "ScanOutcome",
     "simplex_grid",
     "two_point_sources",
     "pair_swap_shell",
@@ -57,18 +55,6 @@ class SearchBudget:
     fd_step: float = 1e-6
     clamp: float = 1e-9
     initial_step: float = 0.05
-
-
-@dataclass(frozen=True)
-class ScanOutcome:
-    """Result of a supremum search over an explicit candidate set."""
-
-    value: float
-    argmax: np.ndarray = field(repr=False)
-    n_candidates: int
-    n_excluded: int
-    method: str
-    at_exclusion_boundary: bool = False
 
 
 def simplex_grid(k: int, step: float, clamp: float = 1e-9) -> np.ndarray:
@@ -139,18 +125,14 @@ def project_simplex_interior(x: np.ndarray, clamp: float = 1e-9) -> np.ndarray:
     return w / w.sum()
 
 
-def worker_count() -> int:
-    """Worker cap from INEQ_LAB_THREADS; defaults to serial execution."""
-    try:
-        return max(1, int(os.environ.get("INEQ_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
+def _ascent(start, project, budget: SearchBudget, gradient):
+    """Projected ascent from one start, as a coroutine.
 
-
-def _ascend(objective, start, project, budget: SearchBudget, gradient):
-    """Projected ascent from one start; returns (best value, point, evals)."""
+    Yields each batch of rows it needs evaluated and receives their
+    objective values; returns (best value, point, evals).
+    """
     x = project(np.asarray(start, dtype=float))
-    fx = float(objective(x[None, :])[0])
+    fx = float((yield x[None, :])[0])
     n_evals = 1
     if not np.isfinite(fx):
         return -np.inf, None, n_evals
@@ -159,7 +141,7 @@ def _ascend(objective, start, project, budget: SearchBudget, gradient):
     for _ in range(budget.iterations):
         if gradient is None:
             probes = x[None, :] + budget.fd_step * np.eye(x.size)
-            vals = objective(probes)
+            vals = yield probes
             n_evals += x.size
             grad = (vals - fx) / budget.fd_step
             grad[~np.isfinite(grad)] = 0.0
@@ -173,7 +155,7 @@ def _ascend(objective, start, project, budget: SearchBudget, gradient):
         moved = False
         while step > 1e-12:
             cand = project(x + step * grad / norm)
-            fc = float(objective(cand[None, :])[0])
+            fc = float((yield cand[None, :])[0])
             n_evals += 1
             if np.isfinite(fc) and fc > fx + 1e-15:
                 x, fx = cand, fc
@@ -195,20 +177,27 @@ def multistart_maximize(objective, starts, project, budget: SearchBudget,
     ``objective`` maps a batch (rows) to values, with -inf marking excluded
     candidates; ``gradient``, when given, replaces the forward-difference
     estimate (used where a single evaluation is expensive but its gradient
-    is analytically available).  Starts run as independent work items
-    (INEQ_LAB_THREADS caps the workers); the reduction over starts is in
-    start order, so results do not depend on scheduling.
+    is analytically available).  All starts advance in lock-step: each
+    round makes one objective call holding the rows every live start needs
+    next (its forward-difference probes or its next line-search
+    candidate).  Rows are evaluated independently, so each start follows
+    exactly the path it would follow alone, and the reduction over starts
+    is in start order.
     """
-    starts = list(starts)
-    workers = min(worker_count(), max(len(starts), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: _ascend(objective, s, project, budget, gradient),
-                starts))
-    else:
-        results = [_ascend(objective, s, project, budget, gradient)
-                   for s in starts]
+    runs = [_ascent(s, project, budget, gradient) for s in starts]
+    pending = {i: run.send(None) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        vals = objective(np.concatenate(list(pending.values())))
+        lo = 0
+        for i, rows in list(pending.items()):
+            hi = lo + rows.shape[0]
+            try:
+                pending[i] = runs[i].send(vals[lo:hi])
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            lo = hi
     best_val, best_x = -np.inf, None
     n_evals = 0
     for val, x, evals in results:

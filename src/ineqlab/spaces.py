@@ -17,8 +17,10 @@ quantities by the calling layers.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,20 +215,68 @@ def measure_from_dict(spec: dict, space: FiniteMetricSpace) -> ProbMeasure:
 
     Explicit weights must already sum to 1 (tolerance 1e-12); a ``density``
     expression in the grid coordinate x is evaluated with numpy semantics
-    and normalized on load.
+    over a whitelisted grammar and normalized on load.
     """
     if "weights" in spec:
         return ProbMeasure(np.asarray(spec["weights"], dtype=float))
     if "density" in spec:
         if space.coords is None:
             raise ValueError("density expressions need a space with coordinates")
-        ns = {"x": space.coords, "np": np, "exp": np.exp, "abs": np.abs,
-              "cos": np.cos, "sin": np.sin, "sqrt": np.sqrt, "pi": np.pi}
-        raw = eval(spec["density"], {"__builtins__": {}}, ns)  # config-supplied formula
+        raw = _eval_density(spec["density"], space.coords)
         return ProbMeasure.normalized(np.broadcast_to(raw, (space.size,)).astype(float))
     if spec.get("uniform"):
         return ProbMeasure.uniform(space.size)
     raise ValueError("measure spec needs 'weights', 'density' or 'uniform'")
+
+
+_DENSITY_FUNCS = {"exp": np.exp, "abs": np.abs, "cos": np.cos, "sin": np.sin,
+                  "sqrt": np.sqrt}
+_DENSITY_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: operator.pow}
+_DENSITY_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_density(text: str, x: np.ndarray):
+    """Evaluate a density formula in the coordinate ``x``.
+
+    Config text is data, so it is never passed to ``eval``: the formula is
+    parsed and walked over a whitelist of numbers, ``x``, ``pi``,
+    ``+ - * / **``, unary signs and one-argument calls to exp, abs, cos,
+    sin and sqrt (bare or ``np.``-prefixed).  Anything else raises
+    ValueError.
+    """
+    try:
+        tree = ast.parse(str(text), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"density {text!r} is not an expression: {exc.msg}") from exc
+
+    def func_name(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np"):
+            return node.attr
+        return None
+
+    names = {"x": x, "pi": np.pi}
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _DENSITY_BINOPS:
+            return _DENSITY_BINOPS[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _DENSITY_UNARY:
+            return _DENSITY_UNARY[type(node.op)](walk(node.operand))
+        if (isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
+                and func_name(node.func) in _DENSITY_FUNCS):
+            return _DENSITY_FUNCS[func_name(node.func)](walk(node.args[0]))
+        raise ValueError(f"density {text!r}: {ast.unparse(node)!r} is not allowed "
+                         "(numbers, x, pi, + - * / **, exp/abs/cos/sin/sqrt)")
+
+    return walk(tree.body)
 
 
 def load_space_file(path) -> tuple[FiniteMetricSpace, ProbMeasure | None]:

@@ -178,6 +178,7 @@ def _tree_solver(tree, m: int, n: int) -> np.ndarray:
 
 
 _SOLVER_CACHE: dict[int, np.ndarray] = {}
+_FLOW_BLOCK_BYTES = 1 << 20
 
 
 def _tree_solvers(n: int) -> np.ndarray:
@@ -234,23 +235,25 @@ class BasisScanner:
         self._solvers = _tree_solvers(n)  # (T, E, V)
         self._edge_costs = np.array([[costs[i, j] for (i, j) in t] for t in trees])
 
-    def costs(self, nus: np.ndarray, feas_tol: float = 1e-10,
-              block: int = 512) -> np.ndarray:
+    def costs(self, nus: np.ndarray, feas_tol: float = 1e-10) -> np.ndarray:
         """Exact transport cost to the fixed target for each row of ``nus``."""
         nus = np.asarray(nus, dtype=float)
         if nus.ndim == 1:
             nus = nus[None, :]
         out = np.empty(nus.shape[0])
         mu_part = self.mu.weights[: self.n - 1]
+        # rows per block, keeping the (B, T, 2n-1) flow tensor near 1 MB
+        trees, edges, _ = self._solvers.shape
+        block = max(1, _FLOW_BLOCK_BYTES // (trees * edges * 8))
         for lo in range(0, nus.shape[0], block):
             batch = nus[lo:lo + block]
             b = np.concatenate([batch, np.broadcast_to(mu_part, (batch.shape[0], self.n - 1))],
                                axis=1)  # (B, 2n-1)
-            flows = np.einsum("tev,bv->tbe", self._solvers, b)
-            feasible = np.all(flows >= -feas_tol, axis=2)  # (T,B)
-            vals = np.einsum("tbe,te->tb", flows, self._edge_costs)
+            flows = np.einsum("tev,bv->bte", self._solvers, b)
+            feasible = np.all(flows >= -feas_tol, axis=2)  # (B,T)
+            vals = np.einsum("bte,te->bt", flows, self._edge_costs)
             vals = np.where(feasible, vals, np.inf)
-            out[lo:lo + block] = vals.min(axis=0)
+            out[lo:lo + block] = vals.min(axis=1)
         return np.maximum(out, 0.0)
 
 

@@ -72,7 +72,8 @@ class TestValidateSpace:
                "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert run(["validate-space", "--space-file", str(path),
+        assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
+                    "--space-file", str(path),
                     "--output-dir", str(tmp_path)]) == 1
 
 
@@ -85,6 +86,16 @@ class TestMeasureErrors:
         code = run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
                     "--space-file", str(path), "--output-dir", str(tmp_path)])
         assert code == 1
+
+    def test_density_code_exit_one(self, tmp_path):
+        doc = {"generator": {"kind": "grid1d", "count": 5, "spacing": 0.1},
+               "measure": {"density": "1+0*x+0*(().__class__.__base__"
+                                      ".__subclasses__().__len__())"}}
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(doc))
+        assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
+                    "--space-file", str(path),
+                    "--output-dir", str(tmp_path)]) == 1
 
     def test_missing_seed_exit_one(self, two_point_file, tmp_path):
         assert run(["estimate", "T", "--alpha", "power:2,2",
@@ -113,6 +124,16 @@ class TestRuns:
         assert run(["verify", "T-to-tauLSI", "--alpha", "power:2,2",
                     "--seed", "1", "--space-file", two_point_file,
                     "--output-dir", str(tmp_path)]) == 0
+
+    def test_estimate_reports_degeneracy_evidence(self, tmp_path, two_point_file):
+        # dip potentials on two points always give zero-defect witnesses
+        assert run(["estimate", "tauLSI", "--alpha", "power:2,2", "--seed", "1",
+                    "--space-file", two_point_file,
+                    "--output-dir", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "estimate-tauLSI.json").read_text())["result"]
+        assert res["premise_degenerate"] is True
+        assert res["degenerate_witnesses"] > 0
+        assert res["degenerate_entropy"] > 0.0
 
     def test_verify_dual(self, tmp_path, two_point_file):
         assert run(["verify", "dual", "--alpha", "power:2,2", "--seed", "1",

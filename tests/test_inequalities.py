@@ -17,6 +17,7 @@ from ineqlab.inequalities import (
     transport_constant_estimate,
     verify_chain,
 )
+from ineqlab import search
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
@@ -333,12 +334,77 @@ class TestDiracChains:
         assert r2.verdict == "PASS"
 
 
-def test_multistart_threaded_matches_serial(rng, monkeypatch):
+def _search_calls(monkeypatch, run):
+    """Arguments of every multistart_maximize call made by ``run()``; the
+    searches themselves are skipped (they report no finite value)."""
+    calls = []
+
+    def spy(objective, starts, project, budget, gradient=None):
+        calls.append((objective, list(starts), project, budget, gradient))
+        return -np.inf, None, 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "multistart_maximize", spy)
+        run()
+    return calls
+
+
+def _lockstep_scanner(rng, monkeypatch):
     space = random_metric_space(rng, 4)
     mu = random_measure(rng, 4)
-    a = PowerYoung(3, 2)
-    budget = SearchBudget(starts=6, iterations=40)
-    serial = transport_constant_estimate(a, space, mu, seed=3, budget=budget)
-    monkeypatch.setenv("INEQ_LAB_THREADS", "4")
-    threaded = transport_constant_estimate(a, space, mu, seed=3, budget=budget)
-    assert threaded.value == pytest.approx(serial.value, rel=1e-12)
+    return _search_calls(monkeypatch, lambda: transport_constant_estimate(
+        PowerYoung(3, 2), space, mu, seed=3,
+        budget=SearchBudget(starts=6, iterations=25)))
+
+
+def _lockstep_mlsi_adjacency(rng, monkeypatch):
+    space = grid1d_space(9, 0.25, start=-1.0)
+    mu = random_measure(rng, 9)
+    return _search_calls(monkeypatch, lambda: mlsi_constant_estimate(
+        PowerYoung(2, 2), space, mu, "-", grid_adjacency(9), seed=4,
+        budget=SearchBudget(starts=8, iterations=60)))
+
+
+def _lockstep_tau(rng, monkeypatch):
+    space = random_metric_space(rng, 5)
+    mu = random_measure(rng, 5)
+    return _search_calls(monkeypatch, lambda: tau_lsi_constant_estimate(
+        PowerYoung(2, 2), 0.01, space, mu, seed=2,
+        budget=SearchBudget(starts=8, iterations=60)))
+
+
+def _lockstep_gradient(rng, monkeypatch):
+    # the LP polish runs from one start; give its objective and gradient more
+    space = random_metric_space(rng, 6)
+    mu = random_measure(rng, 6)
+    calls = _search_calls(monkeypatch, lambda: transport_constant_estimate(
+        PowerYoung(2, 2), space, mu, seed=3,
+        budget=SearchBudget(starts=4, iterations=20), polish_iterations=3))
+    objective, starts, project, budget, gradient = calls[0]
+    assert gradient is not None
+    starts += list(search.dirichlet_starts(rng, 6, 3))
+    return [(objective, starts, project, budget, gradient)]
+
+
+@pytest.mark.parametrize("capture", [_lockstep_scanner, _lockstep_mlsi_adjacency,
+                                     _lockstep_tau, _lockstep_gradient],
+                         ids=["scanner", "mlsi_adjacency", "tau", "gradient"])
+def test_multistart_lockstep_matches_single_starts(capture, rng, monkeypatch):
+    # lock-step batching must not change any start's path: the k-start run
+    # equals the k one-start runs reduced in start order, bit for bit
+    calls = capture(rng, monkeypatch)
+    assert calls
+    for fn, starts, project, budget, gradient in calls:
+        assert len(starts) > 1
+        best, x, evals = search.multistart_maximize(fn, starts, project, budget,
+                                                    gradient)
+        ref_best, ref_x, ref_evals = -np.inf, None, 0
+        for start in starts:
+            val, wit, ev = search.multistart_maximize(fn, [start], project,
+                                                      budget, gradient)
+            ref_evals += ev
+            if wit is not None and val > ref_best:
+                ref_best, ref_x = val, wit
+        assert best == ref_best
+        assert evals == ref_evals
+        assert np.array_equal(x, ref_x)

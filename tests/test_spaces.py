@@ -56,6 +56,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             measure_from_dict({"weights": [0.5, 0.2, 0.1, 0.05, 0.05]}, space)
 
+    def test_density_grammar(self):
+        space = grid1d_space(7, 0.5, start=-1.5)
+        x = space.coords
+        mu = measure_from_dict({"density": "np.exp(-abs(x)**1.5) + 0.1*cos(pi*x)"},
+                               space)
+        raw = np.exp(-np.abs(x) ** 1.5) + 0.1 * np.cos(np.pi * x)
+        assert np.array_equal(mu.weights, raw / raw.sum())
+        for text in ("1+0*x+0*(().__class__.__base__.__subclasses__().__len__())",
+                     "__import__('os')", "np.linalg.norm(x)", "exp(x, x)",
+                     "x[0]", "'x'", "exp(-x"):
+            with pytest.raises(ValueError):
+                measure_from_dict({"density": text}, space)
+
 
 class TestMeasures:
     def test_normalization_guard(self):
