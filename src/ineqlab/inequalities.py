@@ -137,9 +137,28 @@ def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
+# bytes of the (B, n, n) temporaries the pairwise kernels build per block
+_PAIR_BLOCK_BYTES = 1 << 20
+
+
+def _pair_blocks(rows: int, n: int):
+    """Row slices whose (B, n, n) float64 temporaries stay near 1 MB.
+
+    Rows are evaluated independently, so blocking leaves every value
+    unchanged while bounding memory when many rows arrive at once (a
+    lock-step multistart round holds every start's probes).
+    """
+    block = max(1, _PAIR_BLOCK_BYTES // (n * n * 8))
+    for lo in range(0, rows, block):
+        yield slice(lo, lo + block)
+
+
 def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Inf-convolution values for each row of potentials (order 1)."""
-    return np.min(fs[:, None, :] + costs[None, :, :], axis=2)
+    out = np.empty(fs.shape)
+    for rows in _pair_blocks(fs.shape[0], fs.shape[1]):
+        out[rows] = np.min(fs[rows, None, :] + costs[None, :, :], axis=2)
+    return out
 
 
 def _tau_pieces(mu: np.ndarray, costs: np.ndarray, fs: np.ndarray):
@@ -464,9 +483,12 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         if adjacency is None:
             d = space.dist.copy()
             np.fill_diagonal(d, np.inf)
-            diff = fs[:, None, :] - fs[:, :, None]  # (B, at, toward)
-            rect = np.maximum(diff if sign == "+" else -diff, 0.0)
-            return (rect / d[None, :, :]).max(axis=2)
+            out = np.empty(fs.shape)
+            for rows in _pair_blocks(fs.shape[0], fs.shape[1]):
+                diff = fs[rows, None, :] - fs[rows, :, None]  # (B, at, toward)
+                rect = np.maximum(diff if sign == "+" else -diff, 0.0)
+                out[rows] = (rect / d[None, :, :]).max(axis=2)
+            return out
         out = np.zeros_like(fs)
         for i in range(space.size):
             js = adjacency[i]

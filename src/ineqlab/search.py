@@ -44,6 +44,9 @@ DUAL_GAP_TOL = 1e-6
 # the local quadratic expansions) exactly when h = 4 * tau.
 ENTROPY_FLOOR = 4.0 * DUAL_GAP_TOL
 DENOM_FLOOR = 1e-14
+# rows per objective call: an objective's (rows, n) float64 arrays stay
+# near 4 MB however many starts a lock-step round holds
+_CALL_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,19 @@ def multistart_maximize(objective, starts, project, budget: SearchBudget,
     is analytically available).  All starts advance in lock-step: each
     round makes one objective call holding the rows every live start needs
     next (its forward-difference probes or its next line-search
-    candidate).  Rows are evaluated independently, so each start follows
-    exactly the path it would follow alone, and the reduction over starts
-    is in start order.
+    candidate), split into calls of at most ``_CALL_BLOCK_BYTES`` of rows
+    when many starts run on a large space.  Rows are evaluated
+    independently, so each start follows exactly the path it would follow
+    alone, and the reduction over starts is in start order.
     """
     runs = [_ascent(s, project, budget, gradient) for s in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
-        vals = objective(np.concatenate(list(pending.values())))
+        rows = np.concatenate(list(pending.values()))
+        block = max(1, _CALL_BLOCK_BYTES // (rows.shape[1] * 8))
+        vals = np.concatenate([objective(rows[lo:lo + block])
+                               for lo in range(0, rows.shape[0], block)])
         lo = 0
         for i, rows in list(pending.items()):
             hi = lo + rows.shape[0]

@@ -243,8 +243,9 @@ def _eval_density(text: str, x: np.ndarray):
     Config text is data, so it is never passed to ``eval``: the formula is
     parsed and walked over a whitelist of numbers, ``x``, ``pi``,
     ``+ - * / **``, unary signs and one-argument calls to exp, abs, cos,
-    sin and sqrt (bare or ``np.``-prefixed).  Anything else raises
-    ValueError.
+    sin and sqrt (bare or ``np.``-prefixed).  Numbers are taken as floats.
+    Anything else, and arithmetic that overflows or divides by zero on
+    constants, raises ValueError.
     """
     try:
         tree = ast.parse(str(text), mode="eval")
@@ -263,7 +264,9 @@ def _eval_density(text: str, x: np.ndarray):
 
     def walk(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return node.value
+            # floats, so a constant power overflows at once instead of
+            # building an unbounded integer
+            return float(node.value)
         if isinstance(node, ast.Name) and node.id in names:
             return names[node.id]
         if isinstance(node, ast.BinOp) and type(node.op) in _DENSITY_BINOPS:
@@ -276,7 +279,10 @@ def _eval_density(text: str, x: np.ndarray):
         raise ValueError(f"density {text!r}: {ast.unparse(node)!r} is not allowed "
                          "(numbers, x, pi, + - * / **, exp/abs/cos/sin/sqrt)")
 
-    return walk(tree.body)
+    try:
+        return walk(tree.body)
+    except ArithmeticError as exc:
+        raise ValueError(f"density {text!r} cannot be evaluated: {exc}") from exc
 
 
 def load_space_file(path) -> tuple[FiniteMetricSpace, ProbMeasure | None]:

@@ -72,8 +72,7 @@ class TestValidateSpace:
                "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
-                    "--space-file", str(path),
+        assert run(["validate-space", "--space-file", str(path),
                     "--output-dir", str(tmp_path)]) == 1
 
 

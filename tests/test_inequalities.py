@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ineqlab.inequalities import (
     transport_constant_estimate,
     verify_chain,
 )
-from ineqlab import search
+from ineqlab import inequalities, search
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
@@ -408,3 +409,73 @@ def test_multistart_lockstep_matches_single_starts(capture, rng, monkeypatch):
         assert best == ref_best
         assert evals == ref_evals
         assert np.array_equal(x, ref_x)
+
+
+def _large_pair_estimates(rng):
+    # 96 points and 6 starts: one lock-step probe round holds 576 rows, so an
+    # unblocked (rows, n, n) temporary would take 42 MB
+    space = random_metric_space(rng, 96, min_sep=0.0)
+    mu = random_measure(rng, 96)
+    budget = SearchBudget(starts=6, iterations=1)
+    return [lambda: mlsi_constant_estimate(PowerYoung(2, 2), space, mu, "+",
+                                           seed=1, budget=budget),
+            lambda: tau_lsi_constant_estimate(PowerYoung(2, 2), 0.01, space, mu,
+                                              seed=1, budget=budget)]
+
+
+def test_pair_kernels_bounded_memory(rng):
+    # global-slope and inf-convolution rows are blocked, so a whole lock-step
+    # round stays far below its unblocked (rows, n, n) size
+    for estimate in _large_pair_estimates(rng):
+        tracemalloc.start()
+        try:
+            estimate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["mlsi_global", "tau"])
+def test_pair_kernel_blocking_exact(kind, rng, monkeypatch):
+    # blocks of three rows give the same estimate, bit for bit
+    space = random_metric_space(rng, 9)
+    mu = random_measure(rng, 9)
+    budget = SearchBudget(starts=5, iterations=30)
+    if kind == "tau":
+        run = lambda: tau_lsi_constant_estimate(PowerYoung(2, 2), 0.01, space, mu,
+                                                seed=2, budget=budget)
+    else:
+        run = lambda: mlsi_constant_estimate(PowerYoung(2, 2), space, mu, "+",
+                                             seed=2, budget=budget)
+    ref = run()
+    monkeypatch.setattr(inequalities, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8)
+    got = run()
+    assert got.value == ref.value
+    assert got.n_candidates == ref.n_candidates
+    assert np.array_equal(got.witness, ref.witness)
+
+
+def test_multistart_call_rows_capped(monkeypatch):
+    # a lock-step round on a large space is split so no objective call
+    # exceeds the row cap, and the split changes nothing
+    n, cap_rows = 64, 40
+    monkeypatch.setattr(search, "_CALL_BLOCK_BYTES", cap_rows * n * 8)
+    target = np.linspace(1.0, 2.0, n)
+    target /= target.sum()
+    sizes = []
+
+    def objective(rows):
+        sizes.append(rows.shape[0])
+        return -((rows - target) ** 2).sum(axis=1)
+
+    starts = list(search.dirichlet_starts(np.random.default_rng(5), n, 6))
+    budget = SearchBudget(iterations=15)
+    got = search.multistart_maximize(objective, starts, search.project_simplex_interior,
+                                     budget)
+    assert max(sizes) == cap_rows
+    monkeypatch.setattr(search, "_CALL_BLOCK_BYTES", 1 << 40)
+    ref = search.multistart_maximize(objective, starts, search.project_simplex_interior,
+                                     budget)
+    assert got[0] == ref[0] and got[2] == ref[2]
+    assert np.array_equal(got[1], ref[1])
