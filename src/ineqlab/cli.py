@@ -6,7 +6,8 @@ seed (reports must be reproducible, so there is no wall-clock default) and
 writes a versioned JSON report, plus CSV where tabular output makes sense.
 
 Exit codes: 0 PASS / success, 1 configuration error, 2 FAIL,
-3 INCONCLUSIVE.
+3 INCONCLUSIVE, 4 numerical error (unbounded conjugate, Delta_2 violation,
+zero threshold), 5 internal solver failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import inequalities, reports
-from .constants import implication_constants
+from .constants import ThresholdZeroError, implication_constants
 from .infconv import lemma_bounds
 from .spaces import (
     FiniteMetricSpace,
@@ -28,13 +29,22 @@ from .spaces import (
     measure_from_dict,
     space_from_dict,
 )
-from .transport import optimal_cost, plan_to_csv
-from .young import PowerYoung, load_table, xi_numeric, xi_value
+from .transport import SolverFailure, cost_matrix, optimal_cost, plan_to_csv
+from .young import (
+    Delta2ViolationError,
+    PowerYoung,
+    UnboundedConjugateError,
+    load_table,
+    xi_numeric,
+    xi_value,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_NUMERICAL = 4
+EXIT_SOLVER = 5
 
 
 class ConfigError(ValueError):
@@ -184,9 +194,7 @@ def _cmd_transport(cfg) -> int:
     nu = measure_from_dict(cfg["source"], space)
     cost, plan = optimal_cost(alpha, space, nu, mu)
     json_path, csv_path = _out_paths(cfg, "transport-plan")
-    costs = np.asarray(alpha(space.dist))
-    np.fill_diagonal(costs, 0.0)
-    plan_to_csv(plan, costs, csv_path)
+    plan_to_csv(plan, cost_matrix(alpha, space), csv_path)
     payload = {"cost": cost, "dual_gap": plan.dual_gap,
                "row_residual": plan.row_residual,
                "col_residual": plan.col_residual, "plan_csv": csv_path}
@@ -375,9 +383,12 @@ def main(argv=None) -> int:
         if "lambda-" in cfg:  # argparse dest mangling for the reserved word
             cfg["lambda"] = cfg.pop("lambda-")
         return args.func(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (UnboundedConjugateError, Delta2ViolationError, ThresholdZeroError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except SolverFailure as exc:
+        print(f"internal solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,7 +46,7 @@ from .search import (
     ENTROPY_FLOOR,
     SearchBudget,
 )
-from .transport import BasisScanner, optimal_cost
+from .transport import BasisScanner, cost_matrix, optimal_cost
 from .young import YoungFunction, exponents
 
 __all__ = [
@@ -180,12 +180,6 @@ def _verdict(ratio: float, rel_tol: float) -> str:
     return "INCONCLUSIVE" if ratio <= 1.0 + rel_tol else "FAIL"
 
 
-def _two_point_transport(alpha_d: float, mu: np.ndarray,
-                         nus: np.ndarray) -> np.ndarray:
-    # moving |nu0 - mu0| across the single positive distance is optimal
-    return alpha_d * np.abs(nus[:, 0] - mu[0])
-
-
 def _potential_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(lo, hi + 0.5 * step, step)
 
@@ -252,16 +246,12 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         return float(_entropy_vec(np.asarray(nu_row)[None, :], mu_w)[0])
 
     shell = search.pair_swap_shell(mu_w, entropy_of, entropy_floor)
-    if n == 2:
-        cands = np.concatenate([search.two_point_sources(mu_w, scan_step), shell])
-        costs = _two_point_transport(float(alpha(space.dist[0, 1])), mu_w, cands)
-        return _ratio_scan(costs, cands, mu_w, entropy_floor, "dense-scan-2pt")
-    if n == 3:
-        grid = search.simplex_grid(3, max(scan_step, 2e-3))
-        cands = np.concatenate([grid, shell]) if shell.size else grid
-        scanner = BasisScanner(alpha, space, mu)
-        costs = scanner.costs(cands)
-        return _ratio_scan(costs, cands, mu_w, entropy_floor, "dense-scan-3pt")
+    if n <= 3:
+        grid = (search.two_point_sources(mu_w, scan_step) if n == 2
+                else search.simplex_grid(3, max(scan_step, 2e-3)))
+        cands = np.concatenate([grid, shell])
+        costs = BasisScanner(alpha, space, mu).costs(cands)
+        return _ratio_scan(costs, cands, mu_w, entropy_floor, f"dense-scan-{n}pt")
     return _transport_ascent(alpha, space, mu, entropy_floor,
                              budget or SearchBudget(), seed, extra_sources,
                              polish_iterations)
@@ -404,8 +394,7 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
         raise ValueError("lambda must be positive")
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
-    costs = lam * np.asarray(alpha(space.dist), dtype=float)
-    np.fill_diagonal(costs, 0.0)
+    costs = cost_matrix(alpha, space, lam)
     n = space.size
     if n == 2:
         fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
@@ -576,8 +565,7 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     is a violation witnessing that the transport inequality at constant
     1/c fails on the scanned set.
     """
-    costs = np.asarray(alpha(space.dist), dtype=float)
-    np.fill_diagonal(costs, 0.0)
+    costs = cost_matrix(alpha, space)
     mu_w = mu.weights
     if space.size == 2:
         ys = _potential_grid(-f_bound, f_bound, scan_step)
@@ -750,8 +738,7 @@ def verify_chain(alpha: YoungFunction, space: FiniteMetricSpace,
 
 def _violation_ratio_tau(alpha, space, mu, lam, amax, abs_tol, scan_step=1e-3):
     """max over scanned f of Ent / (A * defect + abs_tol)."""
-    costs = lam * np.asarray(alpha(space.dist), dtype=float)
-    np.fill_diagonal(costs, 0.0)
+    costs = cost_matrix(alpha, space, lam)
     if space.size == 2:
         fs = _pair_potentials(_potential_grid(-20.0, 0.0, scan_step))
     elif space.size == 3:
@@ -810,8 +797,7 @@ def _zero_defect_entropy(alpha, lam, space, mu):
     if c <= 0:
         return 0.0
     best = 0.0
-    costs = lam * np.asarray(alpha(space.dist), dtype=float)
-    np.fill_diagonal(costs, 0.0)
+    costs = cost_matrix(alpha, space, lam)
     for i in range(space.size):
         f = np.zeros(space.size)
         f[i] = -c

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import FiniteMetricSpace, slope_vector
+from .transport import cost_matrix
 from .young import YoungFunction, epsilon_value, exponents, xi_value
 
 __all__ = [
@@ -46,13 +47,6 @@ class ArgminWitness:
         return float(np.max(np.abs(self.achieved - values)))
 
 
-def _cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
-                 lam: float) -> np.ndarray:
-    c = lam * np.asarray(alpha(space.dist), dtype=float)
-    np.fill_diagonal(c, 0.0)
-    return c
-
-
 def _check_shape(f: np.ndarray, size: int, n: int) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (size,) * n:
@@ -73,7 +67,7 @@ def q_conv(alpha: YoungFunction, lam: float, f, space: FiniteMetricSpace,
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     f = _check_shape(f, space.size, n)
-    cost = _cost_matrix(alpha, space, lam)
+    cost = cost_matrix(alpha, space, lam)
     g = f
     argmins: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     # axis k holds y_k before its pass and x_k afterwards; later axes are
@@ -116,7 +110,7 @@ def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
     h = _check_shape(h, space.size, n)
     if not 0 <= coord < n:
         raise ValueError("coordinate out of range")
-    cost = _cost_matrix(alpha, space, lam)
+    cost = cost_matrix(alpha, space, lam)
     moved = np.moveaxis(h, coord, -1)
     val = np.min(moved[..., None, :] + cost, axis=-1)
     return np.moveaxis(val, -1, coord)

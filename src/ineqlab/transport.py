@@ -7,10 +7,12 @@ Three routes to the same number, kept deliberately independent:
   gap below 1e-9;
 * :func:`brute_force_cost` enumerates the basic feasible solutions of the
   transport polytope through spanning-tree bases of the complete bipartite
-  graph (exact reference for tiny instances);
-* :class:`BasisScanner` reuses the spanning-tree bases as precomputed
-  linear maps, evaluating exact costs for large batches of source measures
-  against a fixed target (the engine behind dense constant scans).
+  graph (exact primal reference for tiny instances);
+* :class:`BasisScanner` works on the dual side: the cost is the maximum of
+  phi.nu + psi.mu over the dual-feasible spanning-tree potentials, a small
+  table that depends on the target but not on the source, so a batch of
+  sources is priced by one contraction and a row maximum (the engine
+  behind dense constant scans).
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ __all__ = [
     "optimal_cost",
     "brute_force_cost",
     "BasisScanner",
+    "cost_matrix",
     "plan_to_csv",
 ]
 
 _DUAL_GAP_TOL = 1e-9
+# largest reduced-cost violation a tree's potentials may have and still
+# count as a dual vertex (the excess is subtracted, so values stay bounds)
+_DUAL_FEAS_TOL = 1e-10
 
 
 class SolverFailure(RuntimeError):
@@ -69,8 +75,10 @@ class TransportPlan:
         return problems
 
 
-def _cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace) -> np.ndarray:
-    m = np.asarray(alpha(space.dist), dtype=float)
+def cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
+                lam: float = 1.0) -> np.ndarray:
+    """The cost lam * alpha(d(i, j)) with an exactly zero diagonal."""
+    m = lam * np.asarray(alpha(space.dist), dtype=float)
     np.fill_diagonal(m, 0.0)
     return m
 
@@ -86,7 +94,7 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     n = space.size
     if nu.size != n or mu.size != n:
         raise ValueError("measures must live on the space")
-    costs = _cost_matrix(alpha, space)
+    costs = cost_matrix(alpha, space)
     ones = csr_matrix(np.ones((1, n)))
     ident = eye(n, format="csr")
     a_eq = vstack([kron(ident, ones), kron(ones, ident)]).tocsr()
@@ -178,7 +186,6 @@ def _tree_solver(tree, m: int, n: int) -> np.ndarray:
 
 
 _SOLVER_CACHE: dict[int, np.ndarray] = {}
-_FLOW_BLOCK_BYTES = 1 << 20
 
 
 def _tree_solvers(n: int) -> np.ndarray:
@@ -202,7 +209,7 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     n = space.size
     if n > 5:
         raise ValueError("brute force restricted to at most 5 points")
-    costs = _cost_matrix(alpha, space)
+    costs = cost_matrix(alpha, space)
     b = np.concatenate([nu.weights, mu.weights])[: 2 * n - 1]
     trees = _spanning_trees(n, n)
     flows = _tree_solvers(n) @ b  # (T, E)
@@ -217,10 +224,12 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
 class BasisScanner:
     """Vectorized exact transport costs for many sources, one target.
 
-    For a fixed spanning tree the basic flow is linear in the marginals;
-    stacking the precomputed solvers lets a whole batch of source measures
-    be priced with one tensor contraction.  Exact for the same reason the
-    brute force is: the minimum runs over all polytope vertices.
+    By LP duality the cost is the maximum of phi.nu + psi.mu over the
+    vertices of {phi_i + psi_j <= c_ij, psi_last = 0}.  Each vertex is the
+    potential pair of a spanning-tree basis of K_{n,n} (tight on the tree
+    edges), and which trees are dual feasible does not depend on nu; the
+    feasible ones are tabulated once, so pricing a batch is one contraction
+    and a row maximum.  Every term is a weak-duality lower bound.
     """
 
     def __init__(self, alpha: YoungFunction, space: FiniteMetricSpace,
@@ -229,32 +238,23 @@ class BasisScanner:
         if n > 5:
             raise ValueError("basis scanning restricted to at most 5 points")
         self.n = n
-        self.mu = mu
-        costs = _cost_matrix(alpha, space)
-        trees = _spanning_trees(n, n)
-        self._solvers = _tree_solvers(n)  # (T, E, V)
-        self._edge_costs = np.array([[costs[i, j] for (i, j) in t] for t in trees])
+        costs = cost_matrix(alpha, space)
+        edge_costs = np.array([[costs[i, j] for (i, j) in t]
+                               for t in _spanning_trees(n, n)])
+        y = np.einsum("tev,te->tv", _tree_solvers(n), edge_costs)
+        phi = y[:, :n]
+        psi = np.concatenate([y[:, n:], np.zeros((y.shape[0], 1))], axis=1)
+        viol = (phi[:, :, None] + psi[:, None, :] - costs).max(axis=(1, 2))
+        keep = viol <= _DUAL_FEAS_TOL
+        self._phi = phi[keep]  # (V, n)
+        self._offset = psi[keep] @ mu.weights - np.maximum(viol[keep], 0.0)
 
-    def costs(self, nus: np.ndarray, feas_tol: float = 1e-10) -> np.ndarray:
+    def costs(self, nus: np.ndarray) -> np.ndarray:
         """Exact transport cost to the fixed target for each row of ``nus``."""
-        nus = np.asarray(nus, dtype=float)
-        if nus.ndim == 1:
-            nus = nus[None, :]
-        out = np.empty(nus.shape[0])
-        mu_part = self.mu.weights[: self.n - 1]
-        # rows per block, keeping the (B, T, 2n-1) flow tensor near 1 MB
-        trees, edges, _ = self._solvers.shape
-        block = max(1, _FLOW_BLOCK_BYTES // (trees * edges * 8))
-        for lo in range(0, nus.shape[0], block):
-            batch = nus[lo:lo + block]
-            b = np.concatenate([batch, np.broadcast_to(mu_part, (batch.shape[0], self.n - 1))],
-                               axis=1)  # (B, 2n-1)
-            flows = np.einsum("tev,bv->bte", self._solvers, b)
-            feasible = np.all(flows >= -feas_tol, axis=2)  # (B,T)
-            vals = np.einsum("bte,te->bt", flows, self._edge_costs)
-            vals = np.where(feasible, vals, np.inf)
-            out[lo:lo + block] = vals.min(axis=1)
-        return np.maximum(out, 0.0)
+        nus = np.atleast_2d(np.asarray(nus, dtype=float))
+        # einsum, not a BLAS matmul, so a row's value is independent of its batch
+        vals = np.einsum("bk,vk->bv", nus, self._phi) + self._offset
+        return np.maximum(vals.max(axis=1), 0.0)
 
 
 def plan_to_csv(plan: TransportPlan, costs: np.ndarray, path) -> None:

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from ineqlab import cli
 from ineqlab.cli import main
+from ineqlab.constants import ThresholdZeroError
+from ineqlab.transport import SolverFailure
+from ineqlab.young import Delta2ViolationError, UnboundedConjugateError
 
 
 def run(argv):
@@ -100,6 +104,32 @@ class TestMeasureErrors:
         assert run(["estimate", "T", "--alpha", "power:2,2",
                     "--space-file", two_point_file,
                     "--output-dir", str(tmp_path)]) == 1
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize("error", [UnboundedConjugateError,
+                                       Delta2ViolationError, ThresholdZeroError])
+    def test_numerical_error_exit_four(self, error, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "implication_constants", fail)
+        assert run(["constants", "--alpha", "power:2,2", "--A", "1",
+                    "--lambda", "0.5", "--output-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("numerical error:")
+
+    def test_solver_failure_exit_five(self, tmp_path, two_point_file,
+                                      monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SolverFailure("injected")
+
+        monkeypatch.setattr(cli, "optimal_cost", fail)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source": {"weights": [0.9, 0.1]}}))
+        assert run(["transport", "--config", str(cfg_path), "--alpha",
+                    "power:2,2", "--seed", "7", "--space-file", two_point_file,
+                    "--output-dir", str(tmp_path)]) == 5
+        assert capsys.readouterr().err.startswith("internal solver failure:")
 
 
 class TestRuns:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -48,11 +49,13 @@ class TestTransportEstimate:
         assert "floor" in " ".join(est.notes)
 
     def test_witness_reproduces_value(self, rng):
-        for n in (2, 3):
+        # checks the dual-vertex pricing of every scan end to end by the LP
+        for n, a in itertools.product(
+                (2, 3, 4), (PowerYoung(3, 2), PowerYoung(2, 2), PowerYoung(2, 1.5))):
             space = random_metric_space(rng, n)
             mu = random_measure(rng, n)
-            a = PowerYoung(3, 2)
-            est = transport_constant_estimate(a, space, mu)
+            est = transport_constant_estimate(
+                a, space, mu, budget=SearchBudget(starts=4, iterations=40))
             cost, _ = optimal_cost(a, space, ProbMeasure(est.witness), mu)
             h = relative_entropy(ProbMeasure(est.witness), mu)
             assert cost / h == pytest.approx(est.value, rel=1e-10)

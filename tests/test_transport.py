@@ -56,17 +56,30 @@ class TestCrossOracles:
             assert plan.check(nu, mu, np.asarray(a(space.dist))) == []
 
     def test_scanner_matches_lp(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 5))
-            space = random_metric_space(rng, n)
+        # random spaces, then tied-cost spaces (all distances 1), whose
+        # dual vertices are each shared by several spanning trees
+        spaces = [random_metric_space(rng, int(rng.integers(2, 5)))
+                  for _ in range(10)]
+        spaces += [FiniteMetricSpace([str(i) for i in range(n)],
+                                     1.0 - np.eye(n)) for n in (2, 3, 4)]
+        for space in spaces:
+            n = space.size
             mu = random_measure(rng, n)
             a = PowerYoung(3, 2)
             scanner = BasisScanner(a, space, mu)
-            nus = np.array([random_measure(rng, n).weights for _ in range(7)])
+            partial = random_measure(rng, n).weights.copy()
+            partial[0] = 0.0
+            degenerate = [ProbMeasure.dirac(n, n - 1).weights, mu.weights,
+                          partial / partial.sum()]
+            nus = np.array([random_measure(rng, n).weights for _ in range(7)]
+                           + degenerate)
             batch = scanner.costs(nus)
+            assert batch[-2] == pytest.approx(0.0, abs=1e-12)  # nu == mu
             for row, got in zip(nus, batch):
                 expect, _ = optimal_cost(a, space, ProbMeasure(row), mu)
                 assert got == pytest.approx(expect, abs=1e-9)
+                assert got == pytest.approx(
+                    brute_force_cost(a, space, ProbMeasure(row), mu), abs=1e-9)
 
 
 class TestInvariants:
