@@ -38,7 +38,9 @@ from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
     ProductSpace,
+    _pair_blocks,
     exp_entropy,
+    slope_vector,
 )
 from .search import (
     DENOM_FLOOR,
@@ -137,22 +139,6 @@ def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-# bytes of the (B, n, n) temporaries the pairwise kernels build per block
-_PAIR_BLOCK_BYTES = 1 << 20
-
-
-def _pair_blocks(rows: int, n: int):
-    """Row slices whose (B, n, n) float64 temporaries stay near 1 MB.
-
-    Rows are evaluated independently, so blocking leaves every value
-    unchanged while bounding memory when many rows arrive at once (a
-    lock-step multistart round holds every start's probes).
-    """
-    block = max(1, _PAIR_BLOCK_BYTES // (n * n * 8))
-    for lo in range(0, rows, block):
-        yield slice(lo, lo + block)
-
-
 def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Inf-convolution values for each row of potentials (order 1)."""
     out = np.empty(fs.shape)
@@ -232,6 +218,9 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     larger spaces ``polish_iterations`` ascent steps would drift toward
     the same divergent family, so polish is off by default and the
     estimate then characterizes the structured candidate set.
+
+    The entropy shell (closed form, one batched bisection; see
+    :func:`ineqlab.search.pair_swap_shell`) is built once per estimate.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac",
@@ -241,18 +230,14 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         space, mu = _restrict(space, mu, support)
     n = space.size
     mu_w = mu.weights
-
-    def entropy_of(nu_row):
-        return float(_entropy_vec(np.asarray(nu_row)[None, :], mu_w)[0])
-
-    shell = search.pair_swap_shell(mu_w, entropy_of, entropy_floor)
+    shell = search.pair_swap_shell(mu_w, entropy_floor)
     if n <= 3:
         grid = (search.two_point_sources(mu_w, scan_step) if n == 2
                 else search.simplex_grid(3, max(scan_step, 2e-3)))
         cands = np.concatenate([grid, shell])
         costs = BasisScanner(alpha, space, mu).costs(cands)
         return _ratio_scan(costs, cands, mu_w, entropy_floor, f"dense-scan-{n}pt")
-    return _transport_ascent(alpha, space, mu, entropy_floor,
+    return _transport_ascent(alpha, space, mu, entropy_floor, shell,
                              budget or SearchBudget(), seed, extra_sources,
                              polish_iterations)
 
@@ -280,8 +265,8 @@ def _ratio_scan(costs, cands, mu_w, floor, method) -> EstimateResult:
                           n_excluded, method, notes=notes)
 
 
-def _transport_ascent(alpha, space, mu, floor, budget, seed, extra_sources,
-                      polish_iterations=0):
+def _transport_ascent(alpha, space, mu, floor, shell, budget, seed,
+                      extra_sources, polish_iterations=0):
     n = space.size
     mu_w = mu.weights
     rng = np.random.default_rng(seed)
@@ -325,9 +310,6 @@ def _transport_ascent(alpha, space, mu, floor, budget, seed, extra_sources,
     starts.extend(search.dirichlet_starts(rng, n, budget.starts))
     project = lambda x: search.project_simplex_interior(x, budget.clamp)
     if not use_lp:
-        shell = search.pair_swap_shell(
-            mu_w, lambda nu: float(_entropy_vec(np.asarray(nu)[None, :], mu_w)[0]),
-            floor)
         starts.extend(shell)
         best, witness, evals = search.multistart_maximize(
             objective, starts, project, budget)
@@ -468,32 +450,13 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
     mu_w = mu.weights
 
-    def slope_rows(fs):
-        if adjacency is None:
-            d = space.dist.copy()
-            np.fill_diagonal(d, np.inf)
-            out = np.empty(fs.shape)
-            for rows in _pair_blocks(fs.shape[0], fs.shape[1]):
-                diff = fs[rows, None, :] - fs[rows, :, None]  # (B, at, toward)
-                rect = np.maximum(diff if sign == "+" else -diff, 0.0)
-                out[rows] = (rect / d[None, :, :]).max(axis=2)
-            return out
-        out = np.zeros_like(fs)
-        for i in range(space.size):
-            js = adjacency[i]
-            if len(js) == 0:
-                continue
-            diff = fs[:, js] - fs[:, i:i + 1]
-            rect = np.maximum(diff if sign == "+" else -diff, 0.0)
-            out[:, i] = (rect / space.dist[i, js][None, :]).max(axis=1)
-        return out
-
     def pieces(fs):
         fs = fs - fs.max(axis=1, keepdims=True)
         ef = np.exp(fs)
         mass = (mu_w[None, :] * ef).sum(axis=1)
         ent = (mu_w[None, :] * ef * fs).sum(axis=1) - mass * np.log(mass)
-        conj = np.asarray(alpha.conjugate(slope_rows(fs)), dtype=float)
+        conj = np.asarray(alpha.conjugate(slope_vector(space, fs, sign, adjacency)),
+                          dtype=float)
         raw = mu_w[None, :] * ef
         with np.errstate(invalid="ignore"):
             terms = raw * conj

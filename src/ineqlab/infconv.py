@@ -227,8 +227,7 @@ def gradient_diagnostic(alpha: YoungFunction, f, t: float,
     lhs = np.zeros_like(qf)
     for i in range(n):
         moved = np.moveaxis(qf, i, -1)
-        slopes = np.apply_along_axis(
-            lambda row: slope_vector(space, row, "+"), -1, moved)
+        slopes = slope_vector(space, moved, "+")
         lhs += np.moveaxis(np.asarray(alpha.conjugate(t * slopes)), -1, i)
     xi_t = xi_value(alpha, t)
     rhs = t * xi_t * (qf - f[tuple(np.moveaxis(wit.indices, -1, 0))])

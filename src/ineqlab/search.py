@@ -4,7 +4,7 @@ Two regimes, both returning certified *lower* bounds (a supremum is only
 ever approached from below by evaluation):
 
 * dense scans over explicit candidate grids, effectively exhaustive on
-  two- and three-point spaces;
+  two- and three-point spaces, plus a batched shell of entropy-pinned swaps;
 * seeded multistart projected ascent with finite-difference (or supplied)
   gradients, step halving, and a simplex-interior clamp; all starts run
   in lock-step, one batched objective call per round.
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "DUAL_GAP_TOL",
@@ -83,36 +82,39 @@ def two_point_sources(mu: np.ndarray, step: float = 1e-4) -> np.ndarray:
     return out[(out > 0).all(axis=1)]
 
 
-def pair_swap_shell(mu: np.ndarray, entropy, floor: float,
+def pair_swap_shell(mu: np.ndarray, floor: float,
                     levels=(1.0000001, 2.0, 10.0)) -> np.ndarray:
     """Sources mu + s (e_i - e_j) placed just outside the entropy floor.
 
     These are the directions along which the cost/entropy ratio diverges;
     pinning candidates to prescribed entropy levels makes the floored scan
-    supremum grid-independent.
+    supremum grid-independent.  The entropy along e_i - e_j is
+    H(s) = (mu_i+s) log((mu_i+s)/mu_i) + (mu_j-s) log((mu_j-s)/mu_j), rising
+    in s; one batched bisection solves every H(s) = floor * level, skipping
+    pairs off the support and unreachable levels (rows by i, j, then level).
     """
-    out = []
-    n = mu.size
-    for i in range(n):
-        for j in range(n):
-            if i == j or mu[j] <= 0:
-                continue
-            direction = np.zeros(n)
-            direction[i], direction[j] = 1.0, -1.0
-            smax = mu[j] * (1.0 - 1e-9)
+    pos = mu > 0
+    i, j = np.nonzero(pos[:, None] & pos[None, :] & ~np.eye(mu.size, dtype=bool))
+    targets = floor * np.asarray(levels, dtype=float)
 
-            def h_of(s):
-                return entropy(mu + s * direction)
+    def h(s, mi, mj):
+        a, b = mi + s, mj - s
+        return a * np.log(a / mi) + b * np.log(b / mj)
 
-            if h_of(smax) <= floor:
-                continue
-            for level in levels:
-                target = floor * level
-                if h_of(smax) <= target:
-                    continue
-                s = brentq(lambda v: h_of(v) - target, 1e-15, smax, xtol=1e-15)
-                out.append(mu + s * direction)
-    return np.array(out) if out else np.empty((0, n))
+    hmax = h(mu[j] * (1.0 - 1e-9), mu[i], mu[j])[:, None]
+    p, lev = np.nonzero((hmax > floor) & (hmax > targets))
+    i, j, target = i[p], j[p], targets[lev]
+    mi, mj = mu[i], mu[j]
+    lo, hi = np.full(p.size, 1e-15), mj * (1.0 - 1e-9)
+    for _ in range(64):  # an interval of width <= 1 shrinks below 1e-19
+        mid = 0.5 * (lo + hi)
+        above = h(mid, mi, mj) > target
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    s = 0.5 * (lo + hi)
+    out = np.tile(mu, (p.size, 1))
+    out[np.arange(p.size), i] += s
+    out[np.arange(p.size), j] -= s
+    return out
 
 
 def dirichlet_starts(rng: np.random.Generator, n: int, count: int,

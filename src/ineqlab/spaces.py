@@ -332,6 +332,22 @@ def exp_entropy(mu, f) -> float:
 # slopes
 
 
+# bytes of the (B, n, n) temporaries the pairwise kernels build per block
+_PAIR_BLOCK_BYTES = 1 << 20
+
+
+def _pair_blocks(rows: int, n: int):
+    """Row slices whose (B, n, n) float64 temporaries stay near 1 MB.
+
+    Rows are evaluated independently, so blocking leaves every value
+    unchanged while bounding memory when many rows arrive at once (a
+    lock-step multistart round holds every start's probes).
+    """
+    block = max(1, _PAIR_BLOCK_BYTES // (n * n * 8))
+    for lo in range(0, rows, block):
+        yield slice(lo, lo + block)
+
+
 def _rectify(diff: np.ndarray, sign: str) -> np.ndarray:
     if sign == "+":
         return np.maximum(diff, 0.0)
@@ -348,24 +364,31 @@ def slope(space: FiniteMetricSpace, f, i: int, sign: str = "+",
     mode restricts to adjacency[i].  Empty neighborhoods give 0 (isolated
     point).
     """
-    f = np.asarray(f, dtype=float)
-    js = np.delete(np.arange(space.size), i) if adjacency is None else adjacency[i]
-    if len(js) == 0:
-        return 0.0
-    diffs = _rectify(f[js] - f[i], sign)
-    return float(np.max(diffs / space.dist[i, js]))
+    return float(slope_vector(space, f, sign, adjacency)[i])
 
 
 def slope_vector(space: FiniteMetricSpace, f, sign: str = "+",
                  adjacency: list[np.ndarray] | None = None) -> np.ndarray:
-    """Slope modulus at every point."""
+    """Slope modulus at every point, for f of shape (n,) or (..., n).
+
+    Rows are independent; global quotients are built in (B, n, n) blocks
+    of about 1 MB (:func:`_pair_blocks`).
+    """
     f = np.asarray(f, dtype=float)
+    fs = f.reshape(-1, space.size)
+    out = np.zeros(fs.shape)
     if adjacency is None:
         d = space.dist.copy()
         np.fill_diagonal(d, np.inf)
-        quot = _rectify(f[None, :] - f[:, None], sign) / d
-        return quot.max(axis=1)
-    return np.array([slope(space, f, i, sign, adjacency) for i in range(space.size)])
+        for rows in _pair_blocks(fs.shape[0], space.size):  # (B, at, toward)
+            quot = _rectify(fs[rows, None, :] - fs[rows, :, None], sign) / d
+            out[rows] = quot.max(axis=2)
+        return out.reshape(f.shape)
+    for i, js in enumerate(adjacency):
+        if len(js):
+            quot = _rectify(fs[:, js] - fs[:, i:i + 1], sign) / space.dist[i, js]
+            out[:, i] = quot.max(axis=1)
+    return out.reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ Three routes to the same number, kept deliberately independent:
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -83,21 +84,28 @@ def cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _marginal_constraints(n: int) -> csr_matrix:
+    """Row-sum then column-sum constraints on a row-major n x n plan."""
+    ones = csr_matrix(np.ones((1, n)))
+    ident = eye(n, format="csr")
+    return vstack([kron(ident, ones), kron(ones, ident)]).tocsr()
+
+
 def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
                  nu: ProbMeasure, mu: ProbMeasure) -> tuple[float, TransportPlan]:
     """Minimal coupling cost of (nu, mu) under the cost alpha(d).
 
     Row marginals are nu, column marginals mu.  Optimality is certified by
     the returned potentials: phi(i) + psi(j) <= cost(i, j) everywhere and
-    phi.nu + psi.mu matches the primal value within 1e-9.
+    phi.nu + psi.mu matches the primal value, both within 1e-9, or
+    :class:`SolverFailure` is raised.
     """
     n = space.size
     if nu.size != n or mu.size != n:
         raise ValueError("measures must live on the space")
     costs = cost_matrix(alpha, space)
-    ones = csr_matrix(np.ones((1, n)))
-    ident = eye(n, format="csr")
-    a_eq = vstack([kron(ident, ones), kron(ones, ident)]).tocsr()
+    a_eq = _marginal_constraints(n)
     b_eq = np.concatenate([nu.weights, mu.weights])
     res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
@@ -114,6 +122,9 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     phi, psi = y[:n], y[n:]
     if float((phi[:, None] + psi[None, :] - costs).max()) > 1e-7:
         phi, psi = -phi, -psi  # backend-dependent sign of equality duals
+    violation = float((phi[:, None] + psi[None, :] - costs).max())
+    if violation > _DUAL_GAP_TOL:
+        raise SolverFailure(f"dual potentials violate the cost by {violation:.3g}")
     cost = float(res.fun)
     gap = cost - float(phi @ nu.weights + psi @ mu.weights)
     out = TransportPlan(

@@ -19,7 +19,7 @@ from ineqlab.inequalities import (
     transport_constant_estimate,
     verify_chain,
 )
-from ineqlab import inequalities, search
+from ineqlab import inequalities, search, spaces
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
@@ -452,7 +452,7 @@ def test_pair_kernel_blocking_exact(kind, rng, monkeypatch):
         run = lambda: mlsi_constant_estimate(PowerYoung(2, 2), space, mu, "+",
                                              seed=2, budget=budget)
     ref = run()
-    monkeypatch.setattr(inequalities, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8)
+    monkeypatch.setattr(spaces, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8)
     got = run()
     assert got.value == ref.value
     assert got.n_candidates == ref.n_candidates

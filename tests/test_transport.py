@@ -3,9 +3,12 @@ import pytest
 
 from conftest import random_measure, random_metric_space
 from ineqlab.spaces import FiniteMetricSpace, ProbMeasure, two_point_space
+from ineqlab import transport
 from ineqlab.transport import (
     BasisScanner,
+    SolverFailure,
     brute_force_cost,
+    cost_matrix,
     optimal_cost,
     plan_to_csv,
 )
@@ -136,6 +139,29 @@ class TestInvariants:
         dual_value = plan.potential_source @ nu.weights + \
             plan.potential_target @ mu.weights
         assert dual_value == pytest.approx(cost, abs=1e-9)
+
+    def test_infeasible_duals_raise(self, rng, monkeypatch):
+        # a zero-mass source leaves its potential out of the duality gap, so
+        # only the feasibility check can catch an infeasible value there
+        space = random_metric_space(rng, 4)
+        a = PowerYoung(2, 2)
+        costs = cost_matrix(a, space)
+        nu = ProbMeasure(np.array([0.0, 0.3, 0.3, 0.4]))
+        mu = random_measure(rng, 4)
+        real = transport.linprog
+
+        def infeasible(*args, **kwargs):
+            res = real(*args, **kwargs)
+            y = np.asarray(res.eqlin.marginals, dtype=float)
+            sign = 1.0 if (y[:4, None] + y[None, 4:] - costs).max() <= 1e-7 else -1.0
+            phi, psi = sign * y[:4], sign * y[4:]
+            phi[0] += 5e-8 - (phi[0] + psi - costs[0]).max()
+            res.eqlin.marginals = sign * np.concatenate([phi, psi])
+            return res
+
+        monkeypatch.setattr(transport, "linprog", infeasible)
+        with pytest.raises(SolverFailure, match="dual potentials"):
+            optimal_cost(a, space, nu, mu)
 
 
 def test_plan_csv_export(tmp_path, rng):
