@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ineqlab.spaces import FiniteMetricSpace, ProbMeasure
+
+# every property draws the same examples on every run; tests keep their own
+# example counts
+settings.register_profile("ineqlab", derandomize=True, deadline=None)
+settings.load_profile("ineqlab")
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 import itertools
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure, random_metric_space
 from ineqlab.inequalities import (
@@ -19,10 +22,11 @@ from ineqlab.inequalities import (
     transport_constant_estimate,
     verify_chain,
 )
-from ineqlab import inequalities, search, spaces
+from ineqlab import inequalities, search, spaces, transport
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
+    cycle_space,
     exp_entropy,
     grid1d_space,
     grid_adjacency,
@@ -65,6 +69,121 @@ class TestTransportEstimate:
         mu = ProbMeasure(np.array([0.5, 0.5, 0.0]))
         est = transport_constant_estimate(PowerYoung(2, 2), space, mu)
         assert est.value > 0.0  # runs on the two-point support
+
+
+def _rank_all_lp_scan(alpha, space, mu, floor, starts, objective):
+    """The exhaustive scan the pruned one replaces: one LP per start, then a
+    stable descending sort, so ties go to the earliest start."""
+    ranked = [(float(objective(np.asarray(s)[None, :])[0]), k)
+              for k, s in enumerate(starts)]
+    ranked.sort(key=lambda kv: kv[0], reverse=True)
+    return ranked[0]
+
+
+LP_COSTS = (PowerYoung(2, 2), PowerYoung(2, 1), PowerYoung(3, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(6, 15), kind=st.sampled_from(["planar", "cycle", "grid1d"]),
+       cost=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), extras=st.booleans())
+def test_pruned_lp_scan_matches_rank_all(n, kind, cost, seed, extras):
+    rng = np.random.default_rng(seed)
+    if kind == "planar":
+        space = random_metric_space(rng, n)
+    else:
+        spacing = float(rng.uniform(0.2, 1.5))
+        space = cycle_space(n, spacing) if kind == "cycle" else grid1d_space(n, spacing)
+    mu = random_measure(rng, n)
+    alpha = LP_COSTS[cost]
+    extra_sources = None
+    if extras:
+        # near-copies of the tilts put near-ties at the top of the ranking
+        tilts = np.array(list(inequalities._tilt_starts(space, mu.weights)))
+        noisy = tilts * (1.0 + rng.uniform(-1e-14, 1e-14, tilts.shape))
+        extra_sources = list(noisy / noisy.sum(axis=1, keepdims=True))
+        extra_sources += list(rng.dirichlet(np.full(n, 0.5), 3))
+
+    def run():
+        return transport_constant_estimate(alpha, space, mu, seed=seed,
+                                           budget=SearchBudget(starts=6),
+                                           extra_sources=extra_sources)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return optimal_cost(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "optimal_cost", counting)
+        got = run()
+        pruned_calls = len(calls)
+        m.setattr(inequalities, "_pruned_lp_scan", _rank_all_lp_scan)
+        ref = run()
+    # the rank-all scan solves every distinct start above the floor once
+    rank_all_calls = len(calls) - pruned_calls
+    assert got.value == ref.value
+    assert np.array_equal(got.witness, ref.witness)
+    assert got.n_candidates == ref.n_candidates
+    assert got.method == ref.method == "structured-scan-lp"
+    assert got.notes == ref.notes
+    if kind == "grid1d":
+        # the bound is exact on a sorted line, so most starts are skipped
+        assert pruned_calls < rank_all_calls
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(6, 15), cost=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_pruned_lp_scan_margin_covers_lp_tolerance(n, cost, seed):
+    # on a sorted line the north-west-corner cost is the optimum, and a
+    # certified LP value may exceed it by up to two dual tolerances; model
+    # such an LP and tie the tilts with near-copies a few 1e-12 apart, far
+    # closer than that excess, so only the margin keeps the winner unpruned
+    rng = np.random.default_rng(seed)
+    space = grid1d_space(n, float(rng.uniform(0.2, 1.5)))
+    mu = random_measure(rng, n)
+    alpha = LP_COSTS[cost]
+    tilts = np.array(list(inequalities._tilt_starts(space, mu.weights)))
+    noisy = tilts * (1.0 + rng.uniform(-1e-12, 1e-12, tilts.shape))
+    extra_sources = list(noisy / noisy.sum(axis=1, keepdims=True))
+
+    def loose_lp(alpha, space, nu, mu):
+        excess = zlib.crc32(nu.weights.tobytes()) / 2**32 * 1.9e-9
+        return transport.northwest_corner_cost(alpha, space, nu, mu) + excess, None
+
+    def run():
+        return transport_constant_estimate(alpha, space, mu, seed=seed,
+                                           budget=SearchBudget(starts=2),
+                                           extra_sources=extra_sources)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "optimal_cost", loose_lp)
+        got = run()
+        m.setattr(inequalities, "_pruned_lp_scan", _rank_all_lp_scan)
+        ref = run()
+    assert got.value == ref.value
+    assert np.array_equal(got.witness, ref.witness)
+
+
+def test_pruned_lp_scan_ties_go_to_earliest_start(rng):
+    # an LP whose cost is the entropy times 2**-20 gives every start the same
+    # ratio bit for bit; the scan visits them best bound first, yet the
+    # earliest start must win, as in the stable rank-all sort
+    space = random_metric_space(rng, 8)
+    mu = random_measure(rng, 8)
+
+    def flat_lp(alpha, space, nu, mu):
+        return float(_entropy_vec(nu.weights[None, :], mu.weights)[0]) * 2.0**-20, None
+
+    results = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "optimal_cost", flat_lp)
+        for scan in (inequalities._pruned_lp_scan, _rank_all_lp_scan):
+            m.setattr(inequalities, "_pruned_lp_scan", scan)
+            results.append(transport_constant_estimate(PowerYoung(2, 2), space, mu))
+    got, ref = results
+    assert got.value == ref.value == 2.0**-20
+    assert np.array_equal(got.witness, ref.witness)
 
 
 class TestTauLsiEstimate:

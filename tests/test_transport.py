@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure, random_metric_space
-from ineqlab.spaces import FiniteMetricSpace, ProbMeasure, two_point_space
+from ineqlab.spaces import (
+    FiniteMetricSpace,
+    ProbMeasure,
+    grid1d_space,
+    path_space,
+    two_point_space,
+)
 from ineqlab import transport
 from ineqlab.transport import (
     BasisScanner,
     SolverFailure,
     brute_force_cost,
     cost_matrix,
+    northwest_corner_cost,
     optimal_cost,
     plan_to_csv,
 )
@@ -83,6 +92,38 @@ class TestCrossOracles:
                 assert got == pytest.approx(expect, abs=1e-9)
                 assert got == pytest.approx(
                     brute_force_cost(a, space, ProbMeasure(row), mu), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small=st.integers(2, 4), large=st.integers(5, 12), cost=st.integers(0, 2),
+       grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_northwest_corner_bound(small, large, cost, grid, seed):
+    # brute force stops at 4 points here: its 5-point tree tables take
+    # seconds and hundreds of MB to build; larger sizes use the LP
+    rng = np.random.default_rng(seed)
+    a = COSTS[cost]
+
+    def nwc_and_pair(space):
+        nu, mu = random_measure(rng, space.size), random_measure(rng, space.size)
+        return northwest_corner_cost(a, space, nu, mu), nu, mu
+
+    # a feasible coupling costs at least the optimum on any space
+    space = random_metric_space(rng, small)
+    bound, nu, mu = nwc_and_pair(space)
+    assert bound >= brute_force_cost(a, space, nu, mu) - 1e-12
+    space = random_metric_space(rng, large)
+    bound, nu, mu = nwc_and_pair(space)
+    assert bound >= optimal_cost(a, space, nu, mu)[0] - 2e-9
+    # on a sorted line with a cost convex in the distance it is the
+    # monotone coupling, which is optimal
+    line = grid1d_space if grid else path_space
+    spacing = float(rng.uniform(0.2, 1.5))
+    space = line(small, spacing)
+    bound, nu, mu = nwc_and_pair(space)
+    assert bound == pytest.approx(brute_force_cost(a, space, nu, mu), rel=0.0, abs=1e-12)
+    space = line(large, spacing)
+    bound, nu, mu = nwc_and_pair(space)
+    assert bound == pytest.approx(optimal_cost(a, space, nu, mu)[0], rel=0.0, abs=2e-9)
 
 
 class TestInvariants:
