@@ -161,16 +161,15 @@ def _cmd_xi_table(cfg) -> int:
     xs = np.geomspace(lo, hi, int(count))
     rows = []
     worst = 0.0
-    for x in xs:
-        closed = xi_value(alpha, float(x))
-        numeric = xi_numeric(alpha, float(x))
+    for x, closed, numeric in zip(xs.tolist(), xi_value(alpha, xs).tolist(),
+                                  xi_numeric(alpha, xs).tolist()):
         if np.isfinite(closed) and np.isfinite(numeric):
             err = abs(closed - numeric) / max(abs(closed), 1e-300)
             worst = max(worst, err)
         else:
             err = 0.0 if closed == numeric else float("inf")
             worst = max(worst, err)
-        rows.append({"x": float(x), "closed_form": closed, "numeric": numeric,
+        rows.append({"x": x, "closed_form": closed, "numeric": numeric,
                      "rel_err": err})
     payload = {"points": len(rows), "max_rel_err": worst,
                "agree_1e-5": bool(worst <= 1e-5)}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
     ProductSpace,
-    _pair_blocks,
+    _neighbours,
     exp_entropy,
     slope_vector,
 )
@@ -146,10 +147,14 @@ def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Inf-convolution values for each row of potentials (order 1)."""
-    out = np.empty(fs.shape)
-    for rows in _pair_blocks(fs.shape[0], fs.shape[1]):
-        out[rows] = np.min(fs[rows, None, :] + costs[None, :, :], axis=2)
+    """Inf-convolution values for each row of potentials (order 1).
+
+    Q[b, i] = min_j (f[b, j] + c[i, j]) as a running minimum over the
+    target columns j, so every temporary has the shape of ``fs``.
+    """
+    out = fs[:, :1] + costs[:, 0]
+    for j in range(1, fs.shape[1]):
+        np.minimum(out, fs[:, j:j + 1] + costs[:, j], out=out)
     return out
 
 
@@ -424,33 +429,58 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
         fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
         return _tau_scan(mu.weights, costs, fs, "dense-scan-2pt")
     if n == 3:
-        coarse = _triple_potentials(0.1, -f_bound, f_bound)
-        res = _tau_scan(mu.weights, costs, coarse, "dense-scan-3pt")
-        if res.witness is None:
-            return res
-        zoomed = _triple_potentials(2e-3, center=res.witness[1:], width=0.12)
-        res2 = _tau_scan(mu.weights, costs, np.concatenate([coarse, zoomed]),
-                         "dense-scan-3pt-zoom")
-        return res2
+        coarse = _tau_best(mu.weights, costs,
+                           _triple_potentials(0.1, -f_bound, f_bound))
+        if coarse.ratio == -np.inf:
+            return coarse.result("dense-scan-3pt")
+        zoomed = _triple_potentials(2e-3, center=coarse.row[1:], width=0.12)
+        return coarse.merge(_tau_best(mu.weights, costs, zoomed)).result(
+            "dense-scan-3pt-zoom")
     return _tau_ascent(mu.weights, costs, n, budget or SearchBudget(), seed,
                        f_bound)
 
 
-def _tau_scan(mu_w, costs, fs, method) -> EstimateResult:
+class _TauScan(NamedTuple):
+    """One dense scan: the best raw ratio (-inf when every row is skipped),
+    its row, and the scan's counts."""
+
+    ratio: float
+    row: np.ndarray
+    rows: int
+    skipped: int
+    degenerate: int
+    degenerate_entropy: float
+
+    def merge(self, later: "_TauScan") -> "_TauScan":
+        """The scan of self's rows followed by later's: the larger ratio
+        wins, a tie keeps self's row, and the counts add up."""
+        best = later if later.ratio > self.ratio else self
+        return _TauScan(best.ratio, best.row, self.rows + later.rows,
+                        self.skipped + later.skipped,
+                        self.degenerate + later.degenerate,
+                        max(self.degenerate_entropy, later.degenerate_entropy))
+
+    def result(self, method: str) -> EstimateResult:
+        return EstimateResult(float(max(self.ratio, 0.0)),
+                              None if self.ratio == -np.inf else self.row,
+                              self.rows, self.skipped, method,
+                              degenerate_witnesses=self.degenerate,
+                              degenerate_entropy=self.degenerate_entropy)
+
+
+def _tau_best(mu_w, costs, fs) -> _TauScan:
     ent, defect = _tau_pieces(mu_w, costs, fs)
     skip = defect < DENOM_FLOOR
     degenerate = skip & (ent > 1e-12)
     ok = ~skip
-    if not np.any(ok):
-        return EstimateResult(0.0, None, fs.shape[0], int(skip.sum()), method,
-                              degenerate_witnesses=int(degenerate.sum()),
-                              degenerate_entropy=float(ent[degenerate].max(initial=0.0)))
     ratios = np.where(ok, ent / np.where(ok, defect, 1.0), -np.inf)
     k = int(np.argmax(ratios))
-    return EstimateResult(float(max(ratios[k], 0.0)), fs[k], fs.shape[0],
-                          int(skip.sum()), method,
-                          degenerate_witnesses=int(degenerate.sum()),
-                          degenerate_entropy=float(ent[degenerate].max(initial=0.0)))
+    return _TauScan(ratios[k], fs[k], fs.shape[0], int(skip.sum()),
+                    int(degenerate.sum()), float(ent[degenerate].max(initial=0.0)))
+
+
+def _tau_scan(mu_w, costs, fs, method) -> EstimateResult:
+    return _tau_best(mu_w, costs, fs).result(method)
 
 
 def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
@@ -491,6 +521,8 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
     mu_w = mu.weights
+    if adjacency is not None:
+        adjacency = _neighbours(space, adjacency)
 
     def pieces(fs):
         fs = fs - fs.max(axis=1, keepdims=True)

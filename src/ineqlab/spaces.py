@@ -22,6 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -367,27 +368,59 @@ def slope(space: FiniteMetricSpace, f, i: int, sign: str = "+",
     return float(slope_vector(space, f, sign, adjacency)[i])
 
 
+class _Neighbours(NamedTuple):
+    """Neighbour lists padded to k slots: point i's s-th neighbour is
+    ``idx[s, i]`` at distance ``dist[s, i]``.
+
+    Short lists repeat their own neighbours, so maxima are unchanged; a
+    point with no neighbours points at itself at infinite distance, so its
+    quotients are 0/inf = 0.
+    """
+
+    idx: np.ndarray
+    dist: np.ndarray
+
+
+def _neighbours(space: FiniteMetricSpace, adjacency) -> _Neighbours:
+    if isinstance(adjacency, _Neighbours):
+        return adjacency
+    points = np.arange(space.size)
+    k = max([1] + [len(js) for js in adjacency])
+    idx = np.repeat(points[None, :], k, axis=0)
+    lone = np.ones(space.size, dtype=bool)
+    for i, js in enumerate(adjacency):
+        if len(js):
+            idx[:, i] = np.resize(np.asarray(js, dtype=np.intp), k)
+            lone[i] = False
+    dist = space.dist[points, idx]
+    dist[:, lone] = np.inf
+    return _Neighbours(idx, dist)
+
+
 def slope_vector(space: FiniteMetricSpace, f, sign: str = "+",
                  adjacency: list[np.ndarray] | None = None) -> np.ndarray:
     """Slope modulus at every point, for f of shape (n,) or (..., n).
 
     Rows are independent; global quotients are built in (B, n, n) blocks
-    of about 1 MB (:func:`_pair_blocks`).
+    of about 1 MB (:func:`_pair_blocks`).  Neighbour quotients are a
+    running maximum over the padded neighbour slots, one (B, n) gather
+    each; a caller that evaluates many f on one adjacency may pass
+    ``_neighbours(space, adjacency)`` to pad it once.
     """
     f = np.asarray(f, dtype=float)
     fs = f.reshape(-1, space.size)
-    out = np.zeros(fs.shape)
-    if adjacency is None:
-        d = space.dist.copy()
-        np.fill_diagonal(d, np.inf)
-        for rows in _pair_blocks(fs.shape[0], space.size):  # (B, at, toward)
-            quot = _rectify(fs[rows, None, :] - fs[rows, :, None], sign) / d
-            out[rows] = quot.max(axis=2)
+    if adjacency is not None:
+        nb = _neighbours(space, adjacency)
+        out = _rectify(fs[:, nb.idx[0]] - fs, sign) / nb.dist[0]
+        for idx, dist in zip(nb.idx[1:], nb.dist[1:]):
+            np.maximum(out, _rectify(fs[:, idx] - fs, sign) / dist, out=out)
         return out.reshape(f.shape)
-    for i, js in enumerate(adjacency):
-        if len(js):
-            quot = _rectify(fs[:, js] - fs[:, i:i + 1], sign) / space.dist[i, js]
-            out[:, i] = quot.max(axis=1)
+    out = np.empty(fs.shape)
+    d = space.dist.copy()
+    np.fill_diagonal(d, np.inf)
+    for rows in _pair_blocks(fs.shape[0], space.size):  # (B, at, toward)
+        quot = _rectify(fs[rows, None, :] - fs[rows, :, None], sign) / d
+        out[rows] = quot.max(axis=2)
     return out.reshape(f.shape)
 
 

@@ -214,6 +214,18 @@ def _tree_solvers(n: int) -> np.ndarray:
     return _SOLVER_CACHE[n]
 
 
+_EDGE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _tree_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 2n-1) source and target indices of every spanning tree's edges,
+    so ``costs[rows, cols]`` gathers all tree edge costs at once (cached)."""
+    if n not in _EDGE_CACHE:
+        edges = np.array(_spanning_trees(n, n), dtype=np.intp)  # (T, E, 2)
+        _EDGE_CACHE[n] = (edges[:, :, 0], edges[:, :, 1])
+    return _EDGE_CACHE[n]
+
+
 def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
                      nu: ProbMeasure, mu: ProbMeasure,
                      feas_tol: float = 1e-10) -> float:
@@ -229,9 +241,8 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
         raise ValueError("brute force restricted to at most 5 points")
     costs = cost_matrix(alpha, space)
     b = np.concatenate([nu.weights, mu.weights])[: 2 * n - 1]
-    trees = _spanning_trees(n, n)
     flows = _tree_solvers(n) @ b  # (T, E)
-    edge_costs = np.array([[costs[i, j] for (i, j) in t] for t in trees])
+    edge_costs = costs[_tree_edges(n)]
     feasible = np.all(flows >= -feas_tol, axis=1)
     if not np.any(feasible):
         raise SolverFailure("no feasible basic solution (invalid marginals?)")
@@ -294,8 +305,7 @@ class BasisScanner:
             raise ValueError("basis scanning restricted to at most 5 points")
         self.n = n
         costs = cost_matrix(alpha, space)
-        edge_costs = np.array([[costs[i, j] for (i, j) in t]
-                               for t in _spanning_trees(n, n)])
+        edge_costs = costs[_tree_edges(n)]
         y = np.einsum("tev,te->tv", _tree_solvers(n), edge_costs)
         phi = y[:, :n]
         psi = np.concatenate([y[:, n:], np.zeros((y.shape[0], 1))], axis=1)

@@ -3,10 +3,18 @@
 A Young function is an even, convex cost function, increasing on [0, oo),
 with alpha(0) = 0 and vanishing one-sided derivative at 0.  This module
 provides the two-regime power family, tabulated (piecewise-linear) costs,
-Fenchel-Legendre conjugation (closed form where available, certified
-bracketed search otherwise), the doubling constant and the lower/upper
+Fenchel-Legendre conjugation, the doubling constant and the lower/upper
 growth exponents, the conjugate-slope ratio driving Herbst-type arguments,
 and the metric change d -> alpha(d)^(1/p).
+
+Conjugates are exact for the power family (closed form) and for tabulated
+costs: a piecewise-linear cost attains sup_x {x|y| - alpha(x)} at a knot
+on the lower convex hull of the table, located by one binary search over
+the hull slopes.  Other costs fall back to a golden-section search per
+element, which may land up to its relative tolerance below the supremum.
+The numeric conjugate-slope ratio takes an array of x and evaluates every
+x in one lock-step pass: a blocked grid stage, then one ternary refinement
+whose steps advance all x together.
 """
 
 from __future__ import annotations
@@ -242,6 +250,7 @@ class TabulatedYoung(YoungFunction):
         self.xs = xs
         self.values = values
         self._slopes = np.maximum(slopes, 0.0)
+        self._hull, self._hull_slopes = _lower_hull(xs, values)
 
     def __call__(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
@@ -268,6 +277,24 @@ class TabulatedYoung(YoungFunction):
         out = np.where(ax == 0.0, 0.0, out)
         return out if out.ndim else float(out)
 
+    def conjugate(self, y):
+        """Exact knot maximum max_k (x_k|y| - v_k) (Rockafellar, §12).
+
+        x|y| - alpha(x) is piecewise linear, so its supremum is attained
+        at a knot, and at a vertex of the knots' lower convex hull: the
+        first vertex whose outgoing hull slope reaches |y| (one binary
+        search).  Beyond the last segment slope the linear extension makes
+        it diverge, and :class:`UnboundedConjugateError` is raised as the
+        bracketed search does.
+        """
+        ay = np.abs(np.asarray(y, dtype=float))
+        if np.any(ay > self._slopes[-1]):
+            raise UnboundedConjugateError(
+                f"slope never reaches {float(ay.max()):g}; conjugate diverges")
+        k = self._hull[np.searchsorted(self._hull_slopes, ay)]
+        out = np.maximum(self.xs[k] * ay - self.values[k], 0.0)
+        return out if out.ndim else float(out)
+
     def exponents(self) -> ExponentPair:
         # probe only where the table describes the cost: the first chord
         # (from the origin) and the linear extension beyond the last knot
@@ -276,6 +303,28 @@ class TabulatedYoung(YoungFunction):
         lo = self.xs[2] if self.xs.size > 3 else self.xs[1]
         grid = np.geomspace(lo, self.xs[-1] / 2.0, 2049)
         return _exponents_numeric(self, grid)
+
+
+def _lower_hull(xs: np.ndarray, values: np.ndarray):
+    """Lower convex hull of the knots: vertex indices and edge slopes.
+
+    Knots on or above a chord are dropped, so a rounding dip that leaves a
+    segment slope below its predecessor cannot hide a higher knot.  The
+    slopes pass through a running maximum so the search key stays sorted
+    however the chord tests round.
+    """
+    hull = [0]
+    for k in range(1, xs.size):
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if ((values[b] - values[a]) * (xs[k] - xs[a])
+                    < (values[k] - values[a]) * (xs[b] - xs[a])):
+                break
+            hull.pop()
+        hull.append(k)
+    hull = np.array(hull)
+    slopes = np.diff(values[hull]) / np.diff(xs[hull])
+    return hull, np.maximum.accumulate(slopes)
 
 
 def load_table(path) -> TabulatedYoung:
@@ -375,12 +424,21 @@ def exponents(alpha: YoungFunction) -> ExponentPair:
 # conjugate-slope ratio
 
 
-def xi_value(alpha: YoungFunction, x: float) -> float:
+def xi_value(alpha: YoungFunction, x):
     """sup_{u>0} alpha*(x alpha'_+(u)) / (x alpha(u)) for x > 0.
 
     Non-decreasing in x, possibly +oo.  Closed form for the power family;
-    numeric grid supremum otherwise.
+    numeric grid supremum otherwise.  ``x`` may be an array; a scalar
+    gives a float.
     """
+    if isinstance(x, np.ndarray):
+        if isinstance(alpha, ScaledYoung):
+            return xi_value(alpha.base, x)
+        if not isinstance(alpha, PowerYoung):
+            return xi_numeric(alpha, x)
+        return np.array([xi_value(alpha, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    # scalars take the plain-float path: quadrature and bisection call it
+    # tens of thousands of times per constant
     if x <= 0:
         raise ValueError("x must be positive")
     if isinstance(alpha, PowerYoung):
@@ -407,51 +465,89 @@ def _xi_power(alpha: PowerYoung, x: float) -> float:
                (p2 - 1.0) * x ** (1.0 / (p2 - 1.0)))
 
 
-def xi_numeric(alpha: YoungFunction, x: float, overflow: float = 1e12) -> float:
+# float64 bytes per (x, u) temporary of the grid stage of xi_numeric
+_XI_BLOCK_BYTES = 1 << 20
+
+
+def xi_numeric(alpha: YoungFunction, x, overflow: float = 1e12):
     """Grid supremum of alpha*(x alpha'_+(u))/(x alpha(u)) with refinement.
 
-    Returns +oo as soon as a sampled conjugate value is infinite or the
-    running supremum exceeds ``overflow``.
+    ``x`` may be an array; every x is evaluated in one lock-step pass and
+    a scalar gives a float.  An x returns +oo as soon as one of its
+    sampled conjugate values is infinite or unbounded, or its running
+    supremum exceeds ``overflow``; the other x are unaffected.
     """
-    if x <= 0:
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv <= 0):
         raise ValueError("x must be positive")
+    xs = xv.ravel()
     u = _U_GRID
     au = alpha(u)
     ok = au > 0
     u, au = u[ok], au[ok]
-    args = x * alpha.right_derivative(u)
-    try:
-        conj = np.asarray(alpha.conjugate(args), dtype=float)
-    except UnboundedConjugateError:
-        return math.inf
-    ratios = conj / (x * au)
-    if not np.all(np.isfinite(ratios)):
-        return math.inf
-    best = float(np.max(ratios))
-    if best > overflow:
-        return math.inf
-    k = int(np.argmax(ratios))
-    lo = u[max(k - 1, 0)]
-    hi = u[min(k + 1, u.size - 1)]
+    du = alpha.right_derivative(u)
 
-    def f(v):
-        val = alpha.conjugate(float(x * alpha.right_derivative(v)))
-        return val / (x * alpha(v))
+    # grid stage, in row blocks whose (rows, u) temporaries stay near 1 MB
+    best = np.empty(xs.size)
+    k = np.empty(xs.size, dtype=np.intp)
+    block = max(1, _XI_BLOCK_BYTES // (8 * u.size))
+    for lo in range(0, xs.size, block):
+        xb = xs[lo:lo + block, None]
+        unbounded = np.zeros(xb.shape[0], dtype=bool)
+        ratios = _conjugate_rows(alpha, xb * du, unbounded) / (xb * au)
+        finite = np.all(np.isfinite(ratios), axis=1)
+        ratios[~finite] = 0.0
+        best[lo:lo + block] = np.where(finite, ratios.max(axis=1), np.inf)
+        k[lo:lo + block] = ratios.argmax(axis=1)
+    live = best <= overflow
 
-    # ternary refinement in log u around the grid argmax
-    llo, lhi = math.log(lo), math.log(hi)
+    # ternary refinement in log u around each grid argmax, all x in step
+    xl = xs[live]
+    llo = np.log(u[np.maximum(k[live] - 1, 0)])
+    lhi = np.log(u[np.minimum(k[live] + 1, u.size - 1)])
+    dead = np.zeros(xl.size, dtype=bool)
+
+    def f(logv):
+        v = np.exp(logv)
+        conj = _conjugate_rows(alpha, xl * alpha.right_derivative(v), dead)
+        return conj / (xl * alpha(v))
+
+    for _ in range(80):
+        m1 = llo + (lhi - llo) / 3.0
+        m2 = lhi - (lhi - llo) / 3.0
+        up = f(m1) < f(m2)
+        llo = np.where(up, m1, llo)
+        lhi = np.where(up, lhi, m2)
+    mid = f(0.5 * (llo + lhi))
+    bl = best[live]
+    # max(best, mid) as on floats: a nan probe leaves best
+    best[live] = np.where(dead, np.inf, np.where(mid > bl, mid, bl))
+    best[~(best <= overflow)] = np.inf
+    out = best.reshape(xv.shape)
+    return out if out.ndim else float(out)
+
+
+def _conjugate_rows(alpha: YoungFunction, args: np.ndarray,
+                    dead: np.ndarray) -> np.ndarray:
+    """alpha.conjugate over the rows of ``args`` not marked ``dead``.
+
+    One batched call; if it raises :class:`UnboundedConjugateError` the call
+    is redone row by row and the rows that raise are marked.  Dead rows
+    read +oo.
+    """
     try:
-        for _ in range(80):
-            m1 = llo + (lhi - llo) / 3.0
-            m2 = lhi - (lhi - llo) / 3.0
-            if f(math.exp(m1)) < f(math.exp(m2)):
-                llo = m1
-            else:
-                lhi = m2
-        best = max(best, f(math.exp(0.5 * (llo + lhi))))
+        if not dead.any():
+            return np.asarray(alpha.conjugate(args), dtype=float)
+        out = np.full(args.shape, np.inf)
+        out[~dead] = alpha.conjugate(args[~dead])
     except UnboundedConjugateError:
-        return math.inf
-    return best if best <= overflow else math.inf
+        out = np.full(args.shape, np.inf)
+        for i in np.flatnonzero(~dead):
+            try:
+                out[i] = alpha.conjugate(args[i])
+            except UnboundedConjugateError:
+                dead[i] = True
+    return out
 
 
 def xi_upper_bound(exp_pair: ExponentPair, x: float) -> float:

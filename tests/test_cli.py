@@ -65,6 +65,19 @@ class TestXiTable:
         assert rows[0] == "x,closed_form,numeric,rel_err"
         assert len(rows) == 61
 
+    def test_table_cost_200_points(self, tmp_path):
+        # 201-knot quadratic table: each numeric x once took about 0.6 s
+        xs = np.linspace(0.0, 10.0, 201)
+        table = tmp_path / "quad.txt"
+        np.savetxt(table, np.column_stack([xs, xs**2]))
+        code = run(["xi-table", "--alpha", f"table:{table}",
+                    "--grid", "0.01:10:200", "--output-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "xi-table.json").read_text())
+        assert report["result"]["points"] == 200
+        rows = (tmp_path / "xi-table.csv").read_text().strip().splitlines()
+        assert len(rows) == 201
+
 
 class TestValidateSpace:
     def test_valid(self, two_point_file, tmp_path):

@@ -601,3 +601,63 @@ def test_multistart_call_rows_capped(monkeypatch):
                                      budget)
     assert got[0] == ref[0] and got[2] == ref[2]
     assert np.array_equal(got[1], ref[1])
+
+
+def _scan_fields(est):
+    return (est.value, est.n_candidates, est.n_excluded, est.method,
+            est.degenerate_witnesses, est.degenerate_entropy, est.notes)
+
+
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2**16), lam=st.sampled_from([1e-3, 0.05, 1.0, 20.0]),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.0)]))
+def test_tau_zoom_merge_equals_concatenated_scan(seed, lam, pair):
+    # the zoom scans only its own rows; merged with the coarse scan it must
+    # give what one scan over the concatenated rows gave
+    rng = np.random.default_rng(seed)
+    space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
+    alpha = PowerYoung(*pair)
+    est = tau_lsi_constant_estimate(alpha, lam, space, mu)
+    costs = transport.cost_matrix(alpha, space, lam)
+    coarse = inequalities._triple_potentials(0.1, -20.0, 20.0)
+    first = inequalities._tau_scan(mu.weights, costs, coarse, "dense-scan-3pt")
+    if first.witness is None:
+        assert _scan_fields(est) == _scan_fields(first) and est.witness is None
+        return
+    zoomed = inequalities._triple_potentials(2e-3, center=first.witness[1:], width=0.12)
+    want = inequalities._tau_scan(mu.weights, costs, np.concatenate([coarse, zoomed]),
+                                  "dense-scan-3pt-zoom")
+    assert _scan_fields(est) == _scan_fields(want)
+    assert np.array_equal(est.witness, want.witness)
+
+
+def test_tau_scan_merge_ties_keep_the_earlier_row(rng):
+    # split points, exact ties between distinct rows and all-skipped halves:
+    # the merge must pick the same row and counts as the scan of the whole.
+    # Rows on a 1/8 lattice shifted by 2 gauge back to the same row exactly,
+    # so their ratios tie bit for bit.
+    space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
+    costs = transport.cost_matrix(PowerYoung(2, 2), space, 0.5)
+    lattice = np.round(rng.uniform(-3.0, 3.0, (40, 2)) * 8) / 8
+    rows = np.column_stack([np.zeros(40), lattice])
+    flat = np.zeros((5, 3))  # zero defect and zero entropy: always skipped
+    for fs in (np.concatenate([rows, rows + 2.0]), np.concatenate([flat, rows, flat])):
+        whole = inequalities._tau_scan(mu.weights, costs, fs, "m")
+        for cut in (1, 5, 20, 40, fs.shape[0] - 1):
+            a = inequalities._tau_best(mu.weights, costs, fs[:cut])
+            b = inequalities._tau_best(mu.weights, costs, fs[cut:])
+            got = a.merge(b).result("m")
+            assert _scan_fields(got) == _scan_fields(whole)
+            assert got.witness is whole.witness or np.array_equal(got.witness,
+                                                                  whole.witness)
+    empty = inequalities._tau_scan(mu.weights, costs, flat, "m")
+    assert empty.witness is None and empty.value == 0.0
+
+
+def test_q_rows_running_minimum_matches_full_minimum(rng):
+    for n in (2, 3, 5, 9):
+        space = random_metric_space(rng, n)
+        costs = transport.cost_matrix(PowerYoung(3, 2), space, 0.7)
+        fs = rng.uniform(-5.0, 1.0, (257, n))
+        want = np.min(fs[:, None, :] + costs[None, :, :], axis=2)
+        assert np.array_equal(inequalities._q_rows(costs, fs), want)

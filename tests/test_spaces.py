@@ -211,3 +211,35 @@ class TestProduct:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             ProductSpace(path_space(101), 3)
+
+
+def _slope_loop(space, f, sign, adjacency):
+    """Oracle: one difference quotient and maximum per point."""
+    fs = np.asarray(f, dtype=float).reshape(-1, space.size)
+    out = np.zeros(fs.shape)
+    for i, js in enumerate(adjacency):
+        if len(js):
+            diff = fs[:, js] - fs[:, i:i + 1]
+            rect = np.maximum(diff, 0.0) if sign == "+" else np.maximum(-diff, 0.0)
+            out[:, i] = (rect / space.dist[i, js]).max(axis=1)
+    return out.reshape(np.shape(f))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 9), sign=st.sampled_from("+-"))
+def test_adjacency_slope_gather_matches_loop(seed, n, sign):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 3.0, (n, 2))
+    space = FiniteMetricSpace([str(i) for i in range(n)],
+                              np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
+    # ragged lists, some empty, some with repeats
+    adjacency = [rng.choice([j for j in range(n) if j != i],
+                            size=int(rng.integers(0, n)), replace=True)
+                 for i in range(n)]
+    for f in (rng.normal(size=n), rng.normal(size=(7, n)), rng.normal(size=(2, 3, n))):
+        got = slope_vector(space, f, sign, adjacency)
+        assert np.array_equal(got, _slope_loop(space, f, sign, adjacency))
+    grid = grid1d_space(21, 0.05)
+    f = rng.normal(size=(5, 21))
+    assert np.array_equal(slope_vector(grid, f, sign, grid_adjacency(21)),
+                          _slope_loop(grid, f, sign, grid_adjacency(21)))

@@ -225,3 +225,13 @@ def test_brute_force_size_guard(rng):
     with pytest.raises(ValueError):
         brute_force_cost(PowerYoung(2, 2), space,
                          random_measure(rng, 6), random_measure(rng, 6))
+
+
+def test_tree_edge_gather_matches_per_tree_lists(rng):
+    # brute force and the scanner gather tree edge costs from one cached
+    # index array; the values equal the per-tree list, bit for bit
+    for n in (2, 3, 4):
+        costs = cost_matrix(PowerYoung(3, 2), random_metric_space(rng, n))
+        want = np.array([[costs[i, j] for (i, j) in t]
+                         for t in transport._spanning_trees(n, n)])
+        assert np.array_equal(costs[transport._tree_edges(n)], want)

@@ -316,3 +316,177 @@ def test_load_table_prepends_origin(tmp_path):
     t = load_table(path)
     assert t(0.0) == 0.0
     assert t(1.0) == pytest.approx(1.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# batched conjugate-slope ratio and the exact table conjugate
+
+
+def _xi_numeric_scalar(alpha, x, overflow=1e12):
+    """Oracle: the per-x grid supremum and 80-step ternary refinement."""
+    from ineqlab.young import _U_GRID
+
+    u = _U_GRID
+    au = alpha(u)
+    ok = au > 0
+    u, au = u[ok], au[ok]
+    try:
+        conj = np.asarray(alpha.conjugate(x * alpha.right_derivative(u)), dtype=float)
+    except UnboundedConjugateError:
+        return math.inf
+    ratios = conj / (x * au)
+    if not np.all(np.isfinite(ratios)):
+        return math.inf
+    best = float(np.max(ratios))
+    if best > overflow:
+        return math.inf
+    k = int(np.argmax(ratios))
+    llo = math.log(u[max(k - 1, 0)])
+    lhi = math.log(u[min(k + 1, u.size - 1)])
+
+    def f(v):
+        return alpha.conjugate(float(x * alpha.right_derivative(v))) / (x * alpha(v))
+
+    try:
+        for _ in range(80):
+            m1 = llo + (lhi - llo) / 3.0
+            m2 = lhi - (lhi - llo) / 3.0
+            if f(math.exp(m1)) < f(math.exp(m2)):
+                llo = m1
+            else:
+                lhi = m2
+        best = max(best, f(math.exp(0.5 * (llo + lhi))))
+    except UnboundedConjugateError:
+        return math.inf
+    return best if best <= overflow else math.inf
+
+
+def _bounded_slope_table():
+    # 201 knots: quadratic up to 1, then linear with slope 2 (cutoff x = 1)
+    xs = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 120),
+                         np.linspace(1.05, 6.0, 80)])
+    return TabulatedYoung(xs, np.where(xs <= 1.0, xs**2, 2.0 * xs - 1.0))
+
+
+_XI_COSTS = {
+    "power32": PowerYoung(3, 2),
+    "power21": PowerYoung(2, 1),
+    "scaled23": ScaledYoung(PowerYoung(2, 3), 2.5),
+    "table": _bounded_slope_table(),
+    "scaled-table": ScaledYoung(_bounded_slope_table(), 0.4),
+}
+
+
+def _assert_matches_oracle(alpha, xs):
+    got = xi_numeric(alpha, xs)
+    want = np.array([_xi_numeric_scalar(alpha, float(x)) for x in xs])
+    assert got.shape == xs.shape
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-14 * np.abs(want[fin]))
+    return got
+
+
+@settings(max_examples=12)
+@given(name=st.sampled_from(sorted(_XI_COSTS)),
+       xs=st.lists(st.floats(0.02, 8.0), min_size=1, max_size=10))
+def test_batched_xi_matches_scalar_oracle(name, xs):
+    # every set straddles x = 1, the cutoff of both bounded-slope costs
+    edge = [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 0.999, 1.001]
+    got = _assert_matches_oracle(_XI_COSTS[name], np.array(xs + edge))
+    if name in ("power21", "table", "scaled-table"):
+        assert np.isfinite(got[-4]) and np.all(np.isinf(got[-3::2]))
+
+
+def test_batched_xi_scalar_in_scalar_out():
+    a = PowerYoung(3, 2)
+    assert isinstance(xi_numeric(a, 0.5), float)
+    assert isinstance(xi_value(a, 0.5), float)
+    xs = np.geomspace(0.1, 4.0, 6).reshape(2, 3)
+    got = xi_numeric(a, xs)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == xi_numeric(a, float(xs[1, 2]))
+    assert np.array_equal(xi_value(a, xs),
+                          [[xi_value(a, float(x)) for x in row] for row in xs])
+    with pytest.raises(ValueError):
+        xi_numeric(a, np.array([0.5, 0.0]))
+
+
+def test_batched_xi_unbounded_refinement_is_per_x():
+    # a conjugate that diverges only on a tiny slope window around the first
+    # refinement probe of x0, which no grid point reaches: x0 becomes +oo
+    # and the other x keep their values
+    from ineqlab.young import _U_GRID
+
+    base = PowerYoung(3, 2)
+    x0, others = 2.0, np.array([0.05, 0.5])
+    ratios = base.conjugate(x0 * base.right_derivative(_U_GRID)) / (x0 * base(_U_GRID))
+    k = int(np.argmax(ratios))
+    llo, lhi = math.log(_U_GRID[k - 1]), math.log(_U_GRID[k + 1])
+    probe = x0 * base.right_derivative(math.exp(llo + (lhi - llo) / 3.0))
+    window = probe * (1.0 + np.array([-1e-9, 1e-9]))
+    for x in np.concatenate([[x0], others]):
+        args = x * base.right_derivative(_U_GRID)
+        assert not np.any((args > window[0]) & (args < window[1]))
+
+    class Holed(PowerYoung):
+        def conjugate(self, y):
+            ay = np.abs(np.asarray(y, dtype=float))
+            if np.any((ay > window[0]) & (ay < window[1])):
+                raise UnboundedConjugateError("hole")
+            return super().conjugate(y)
+
+    got = _assert_matches_oracle(Holed(3, 2), np.concatenate([[x0], others]))
+    assert math.isinf(got[0])
+    assert np.array_equal(got[1:], xi_numeric(base, others))
+
+
+@st.composite
+def _convex_tables(draw):
+    count = draw(st.integers(2, 12))
+    dx = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=count - 1,
+                                max_size=count - 1)))
+    ds = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=count - 1,
+                                max_size=count - 1)))
+    xs = np.concatenate([[0.0], np.cumsum(dx)])
+    values = np.concatenate([[0.0], np.cumsum(np.cumsum(ds) * dx)])
+    return TabulatedYoung(xs, values)
+
+
+@settings(max_examples=60)
+@given(table=_convex_tables(),
+       ts=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8))
+def test_table_conjugate_is_the_knot_maximum(table, ts):
+    top = table._slopes[-1]
+    # ties: every knot slope, the last one included, and the origin
+    ys = np.concatenate([np.array(ts) * top, table._slopes, -table._slopes, [0.0]])
+    for y in ys:
+        try:
+            want_numeric = conjugate_numeric(table, float(y))
+        except UnboundedConjugateError:
+            want_numeric = None
+        if abs(y) > top:
+            # x|y| - alpha(x) grows like (|y| - top) x past the last knot.
+            # The bracketed search agrees unless rounding left an earlier
+            # slope above the last one (a dip the table accepts up to
+            # 1e-12); it then stops at that slope and reports a finite value.
+            assert want_numeric is None or abs(y) <= table._slopes.max()
+            with pytest.raises(UnboundedConjugateError):
+                table.conjugate(float(y))
+            continue
+        assert want_numeric is not None
+        got = table.conjugate(float(y))
+        oracle = float(np.max(table.xs * abs(y) - table.values))
+        scale = max(1.0, abs(oracle))
+        # on a run of equal slopes every knot maximizes; their terms
+        # x_k|y| - v_k then differ only by rounding of order eps * x_k|y|,
+        # and the oracle takes the largest
+        rounding = max(scale, float(table.xs[-1]) * abs(y))
+        assert abs(got - oracle) <= 1e-15 * rounding
+        assert got >= want_numeric - 1e-12 * scale
+    finite = ys[np.abs(ys) <= top]
+    assert np.array_equal(table.conjugate(finite),
+                          [table.conjugate(float(y)) for y in finite])
+    if np.any(np.abs(ys) > top):
+        with pytest.raises(UnboundedConjugateError):
+            table.conjugate(ys)
