@@ -492,7 +492,7 @@ def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
                         ent / np.maximum(defect, DENOM_FLOOR), -np.inf)
 
     def project(f):
-        f = f - f.max()
+        f = f - f.max(axis=-1, keepdims=True)
         return np.clip(f, -f_bound, 0.0)
 
     starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
@@ -526,12 +526,11 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
 
     def pieces(fs):
         fs = fs - fs.max(axis=1, keepdims=True)
-        ef = np.exp(fs)
-        mass = (mu_w[None, :] * ef).sum(axis=1)
-        ent = (mu_w[None, :] * ef * fs).sum(axis=1) - mass * np.log(mass)
+        raw = mu_w[None, :] * np.exp(fs)
+        mass = raw.sum(axis=1)
+        ent = (raw * fs).sum(axis=1) - mass * np.log(mass)
         conj = np.asarray(alpha.conjugate(slope_vector(space, fs, sign, adjacency)),
                           dtype=float)
-        raw = mu_w[None, :] * ef
         with np.errstate(invalid="ignore"):
             terms = raw * conj
         terms = np.where((raw > 0) & ~np.isfinite(conj), np.inf,
@@ -560,7 +559,7 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         return np.where(good, ent / np.maximum(den, DENOM_FLOOR), -np.inf)
 
     def project(f):
-        return np.clip(f - f.max(), -f_bound, 0.0)
+        return np.clip(f - f.max(axis=-1, keepdims=True), -f_bound, 0.0)
 
     starts = [rng.uniform(-2.0, 0.0, space.size) for _ in range(budget.starts)]
     starts.extend(_smooth_starts(space))

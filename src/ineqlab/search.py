@@ -6,8 +6,9 @@ ever approached from below by evaluation):
 * dense scans over explicit candidate grids, effectively exhaustive on
   two- and three-point spaces, plus a batched shell of entropy-pinned swaps;
 * seeded multistart projected ascent with finite-difference (or supplied)
-  gradients, step halving, and a simplex-interior clamp; all starts run
-  in lock-step, one batched objective call per round.
+  gradients, step halving, and a row-wise projection such as the
+  simplex-interior clamp; all starts form one array state advanced in
+  lock-step, with one batched objective call per round.
 
 Degeneracy handling: on a finite space the entropy of a small perturbation
 of mu is quadratic in its size while the transport cost is linear, so the
@@ -126,91 +127,114 @@ def dirichlet_starts(rng: np.random.Generator, n: int, count: int,
 
 
 def project_simplex_interior(x: np.ndarray, clamp: float = 1e-9) -> np.ndarray:
+    """Clamp each row of ``x`` (rows, n) below at ``clamp`` and rescale it to
+    unit mass; a 1-D ``x`` is one row."""
     w = np.clip(x, clamp, None)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _ascent(start, project, budget: SearchBudget, gradient):
-    """Projected ascent from one start, as a coroutine.
-
-    Yields each batch of rows it needs evaluated and receives their
-    objective values; returns (best value, point, evals).
-    """
-    x = project(np.asarray(start, dtype=float))
-    fx = float((yield x[None, :])[0])
-    n_evals = 1
-    if not np.isfinite(fx):
-        return -np.inf, None, n_evals
-    best_val, best_x = fx, x.copy()
-    step = budget.initial_step
-    for _ in range(budget.iterations):
-        if gradient is None:
-            probes = x[None, :] + budget.fd_step * np.eye(x.size)
-            vals = yield probes
-            n_evals += x.size
-            grad = (vals - fx) / budget.fd_step
-            grad[~np.isfinite(grad)] = 0.0
-        else:
-            grad = gradient(x)
-            n_evals += 1
-        grad = grad - grad.mean()  # tangent to the mass constraint
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-14:
-            break
-        moved = False
-        while step > 1e-12:
-            cand = project(x + step * grad / norm)
-            fc = float((yield cand[None, :])[0])
-            n_evals += 1
-            if np.isfinite(fc) and fc > fx + 1e-15:
-                x, fx = cand, fc
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        if fx > best_val:
-            best_val, best_x = fx, x.copy()
-    return best_val, best_x, n_evals
+def _evaluate(objective, rows):
+    """Objective values of ``rows``, in calls of at most ``_CALL_BLOCK_BYTES``."""
+    block = max(1, _CALL_BLOCK_BYTES // (rows.shape[1] * 8))
+    return np.concatenate([objective(rows[lo:lo + block])
+                           for lo in range(0, rows.shape[0], block)])
 
 
 def multistart_maximize(objective, starts, project, budget: SearchBudget,
                         gradient=None):
     """Projected ascent from each start; returns (best value, best point, evals).
 
-    ``objective`` maps a batch (rows) to values, with -inf marking excluded
-    candidates; ``gradient``, when given, replaces the forward-difference
-    estimate (used where a single evaluation is expensive but its gradient
-    is analytically available).  All starts advance in lock-step: each
-    round makes one objective call holding the rows every live start needs
-    next (its forward-difference probes or its next line-search
-    candidate), split into calls of at most ``_CALL_BLOCK_BYTES`` of rows
-    when many starts run on a large space.  Rows are evaluated
-    independently, so each start follows exactly the path it would follow
-    alone, and the reduction over starts is in start order.
+    ``objective`` maps a batch (rows, n) to values, with -inf marking
+    excluded candidates, and ``project`` maps a batch (rows, n) row by row
+    onto the feasible set.  ``gradient``, when given, maps one point (n,)
+    to the ascent direction in place of the forward-difference estimate
+    (used where a single evaluation is expensive but its gradient is
+    analytically available).
+
+    A start evaluates its projected start point, then iterates: a gradient
+    (n forward-difference probes at ``fd_step`` with non-finite entries
+    zeroed, or one ``gradient`` call), centred to stay tangent to the mass
+    constraint, then a line search along the normalized gradient that
+    accepts the first candidate beating the current value by 1e-15.  The
+    step grows by 1.3 on acceptance and halves on each rejection.  A start
+    stops at a non-finite first value, a gradient norm below 1e-14, a step
+    at or below 1e-12, or after ``budget.iterations`` iterations.  Accepted
+    moves strictly raise the value, so a start's last point is its best.
+
+    All starts form one array state advanced in lock-step: each round makes
+    one objective call holding, in start order, the rows every live start
+    needs next (its probes or its next candidate), split into calls of at
+    most ``_CALL_BLOCK_BYTES`` of rows when many starts run on a large
+    space.  Rows are evaluated independently and every update is row-wise,
+    so each start follows exactly the path it would follow alone, and the
+    reduction over starts is in start order.
     """
-    runs = [_ascent(s, project, budget, gradient) for s in starts]
-    pending = {i: run.send(None) for i, run in enumerate(runs)}
-    results = [None] * len(runs)
-    while pending:
-        rows = np.concatenate(list(pending.values()))
-        block = max(1, _CALL_BLOCK_BYTES // (rows.shape[1] * 8))
-        vals = np.concatenate([objective(rows[lo:lo + block])
-                               for lo in range(0, rows.shape[0], block)])
-        lo = 0
-        for i, rows in list(pending.items()):
-            hi = lo + rows.shape[0]
-            try:
-                pending[i] = runs[i].send(vals[lo:hi])
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-            lo = hi
-    best_val, best_x = -np.inf, None
-    n_evals = 0
-    for val, x, evals in results:
-        n_evals += evals
-        if x is not None and val > best_val:
-            best_val, best_x = val, x
-    return best_val, best_x, n_evals
+    starts = [np.asarray(s, dtype=float) for s in starts]
+    if not starts:
+        return -np.inf, None, 0
+    x = project(np.array(starts))
+    count, n = x.shape
+    fx = _evaluate(objective, x)
+    found = np.isfinite(fx)
+    n_evals = count  # every evaluated row and every gradient call
+    step = np.full(count, budget.initial_step)
+    iters = np.zeros(count, dtype=np.int64)
+    grad, norm = np.zeros((count, n)), np.ones(count)
+    probing = np.zeros(count, dtype=bool)    # awaiting probe values
+    searching = np.zeros(count, dtype=bool)  # awaiting a line-search value
+    begin = found.copy()                     # starting an iteration
+    fresh = np.zeros(count, dtype=bool)      # holding an uncentred gradient
+    probe_step = budget.fd_step * np.eye(n)
+    offsets = np.arange(n)
+    while True:
+        begin &= iters < budget.iterations
+        iters[begin] += 1
+        if gradient is None:
+            probing |= begin
+        elif begin.any():
+            b = np.flatnonzero(begin)
+            grad[b] = [gradient(x[i].copy()) for i in b]
+            n_evals += b.size
+            fresh |= begin
+        f = np.flatnonzero(fresh)
+        g = grad[f]
+        g = g - g.mean(axis=1, keepdims=True)  # tangent to the mass constraint
+        # the stacked matmul is the same ddot as np.linalg.norm of one row
+        grad[f], norm[f] = g, np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        searching[f[~(norm[f] < 1e-14) & (step[f] > 1e-12)]] = True
+        live = np.flatnonzero(probing | searching)
+        if not live.size:
+            break
+        on_probe = probing[live]
+        p, s = live[on_probe], live[~on_probe]
+        sizes = np.where(on_probe, n, 1)
+        first = np.cumsum(sizes) - sizes
+        probe_rows = (first[on_probe, None] + offsets).ravel()
+        rows = np.empty((probe_rows.size + s.size, n))
+        rows[probe_rows] = (x[p][:, None, :] + probe_step).reshape(-1, n)
+        cand = project(x[s] + step[s, None] * grad[s] / norm[s, None])
+        rows[first[~on_probe]] = cand
+        vals = _evaluate(objective, rows)
+        n_evals += rows.shape[0]
+
+        g = (vals[probe_rows].reshape(-1, n) - fx[p, None]) / budget.fd_step
+        g[~np.isfinite(g)] = 0.0
+        grad[p] = g
+        probing[p] = False
+        fresh = np.zeros(count, dtype=bool)
+        fresh[p] = True
+
+        fc = vals[first[~on_probe]]
+        up = np.isfinite(fc) & (fc > fx[s] + 1e-15)
+        acc, rej = s[up], s[~up]
+        x[acc], fx[acc] = cand[up], fc[up]
+        step[acc] *= 1.3
+        step[rej] *= 0.5
+        searching[acc] = False
+        searching[rej[step[rej] <= 1e-12]] = False
+        begin = np.zeros(count, dtype=bool)
+        begin[acc] = True
+    if not found.any():
+        return -np.inf, None, n_evals
+    k = int(np.argmax(np.where(found, fx, -np.inf)))
+    return float(fx[k]), x[k].copy(), n_evals

@@ -496,6 +496,14 @@ def _lockstep_tau(rng, monkeypatch):
         budget=SearchBudget(starts=8, iterations=60)))
 
 
+def _lockstep_mlsi_global(rng, monkeypatch):
+    space = random_metric_space(rng, 9)
+    mu = random_measure(rng, 9)
+    return _search_calls(monkeypatch, lambda: mlsi_constant_estimate(
+        PowerYoung(2, 2), space, mu, "+", seed=4,
+        budget=SearchBudget(starts=8, iterations=60)))
+
+
 def _lockstep_gradient(rng, monkeypatch):
     # the LP polish runs from one start; give its objective and gradient more
     space = random_metric_space(rng, 6)
@@ -510,8 +518,10 @@ def _lockstep_gradient(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("capture", [_lockstep_scanner, _lockstep_mlsi_adjacency,
-                                     _lockstep_tau, _lockstep_gradient],
-                         ids=["scanner", "mlsi_adjacency", "tau", "gradient"])
+                                     _lockstep_tau, _lockstep_gradient,
+                                     _lockstep_mlsi_global],
+                         ids=["scanner", "mlsi_adjacency", "tau", "gradient",
+                              "mlsi_global"])
 def test_multistart_lockstep_matches_single_starts(capture, rng, monkeypatch):
     # lock-step batching must not change any start's path: the k-start run
     # equals the k one-start runs reduced in start order, bit for bit
@@ -560,19 +570,33 @@ def test_pair_kernels_bounded_memory(rng):
 
 @pytest.mark.parametrize("kind", ["mlsi_global", "tau"])
 def test_pair_kernel_blocking_exact(kind, rng, monkeypatch):
-    # blocks of three rows give the same estimate, bit for bit
+    # blocks of three rows give the same estimate, bit for bit: the global
+    # slope blocks its (B, n, n) kernel, and the tau ascent, whose
+    # inf-convolution is a running minimum, gets three-row objective calls
     space = random_metric_space(rng, 9)
     mu = random_measure(rng, 9)
     budget = SearchBudget(starts=5, iterations=30)
     if kind == "tau":
         run = lambda: tau_lsi_constant_estimate(PowerYoung(2, 2), 0.01, space, mu,
                                                 seed=2, budget=budget)
+        module, name, size = search, "_CALL_BLOCK_BYTES", 3 * 9 * 8
     else:
         run = lambda: mlsi_constant_estimate(PowerYoung(2, 2), space, mu, "+",
                                              seed=2, budget=budget)
+        module, name, size = spaces, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8
     ref = run()
-    monkeypatch.setattr(spaces, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8)
+    monkeypatch.setattr(module, name, size)
+    sizes = []
+    tau_pieces = inequalities._tau_pieces
+
+    def spy(mu_w, costs, fs):
+        sizes.append(fs.shape[0])
+        return tau_pieces(mu_w, costs, fs)
+
+    monkeypatch.setattr(inequalities, "_tau_pieces", spy)
     got = run()
+    if kind == "tau":  # the tau rows really reach the objective three at a time
+        assert max(sizes) == 3
     assert got.value == ref.value
     assert got.n_candidates == ref.n_candidates
     assert np.array_equal(got.witness, ref.witness)
