@@ -29,7 +29,7 @@ from .spaces import (
     measure_from_dict,
     space_from_dict,
 )
-from .transport import SolverFailure, cost_matrix, optimal_cost, plan_to_csv
+from .transport import SolverFailure, cost_matrix, optimal_cost
 from .young import (
     Delta2ViolationError,
     PowerYoung,
@@ -71,17 +71,21 @@ def _parse_alpha(spec: str):
     raise ConfigError(f"unknown cost spec {spec!r} (power:p1,p2 or table:path)")
 
 
+def _read_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path!r}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file {args.config!r} does not exist")
-        with open(args.config) as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: line {exc.lineno}, column "
-                                  f"{exc.colno}: {exc.msg}") from exc
+        cfg = _read_json(args.config, "config file")
     for key, val in vars(args).items():
         if key in ("command", "config", "func") or val is None:
             continue
@@ -95,28 +99,24 @@ def _require_seed(cfg) -> int:
     return int(cfg["seed"])
 
 
-def _build_space(cfg) -> FiniteMetricSpace:
+def _build_space(cfg) -> tuple[FiniteMetricSpace, dict | None]:
+    """The space, and the measure spec of its space file if it has one."""
     if "space-file" in cfg:
-        with open(cfg["space-file"]) as fh:
-            doc = json.load(fh)
-        return space_from_dict(doc)
+        doc = _read_json(cfg["space-file"], "space file")
+        return space_from_dict(doc), doc.get("measure")
     if "space" in cfg:
-        return space_from_dict(cfg["space"])
+        return space_from_dict(cfg["space"]), None
     raise ConfigError("no space given (use --space-file or a config 'space' entry)")
 
 
-def _build_measure(cfg, space) -> ProbMeasure:
-    spec = None
-    if "measure" in cfg:
-        spec = cfg["measure"]
-    elif "space-file" in cfg:
-        with open(cfg["space-file"]) as fh:
-            doc = json.load(fh)
-        spec = doc.get("measure")
+def _build_space_and_measure(cfg) -> tuple[FiniteMetricSpace, ProbMeasure]:
+    """The space, and the config's measure, else the one of the space file."""
+    space, file_measure = _build_space(cfg)
+    spec = cfg.get("measure", file_measure)
     if spec is None:
         raise ConfigError("no measure given")
     try:
-        return measure_from_dict(spec, space)
+        return space, measure_from_dict(spec, space)
     except ValueError as exc:
         raise ConfigError(f"invalid measure: {exc}") from exc
 
@@ -148,7 +148,7 @@ def _finish(cfg, command, payload, seed, csv_rows=None, verdict=None) -> int:
 
 
 def _cmd_validate_space(cfg) -> int:
-    space = _build_space(cfg)
+    space, _ = _build_space(cfg)
     problems = space.validate()
     payload = {"size": space.size, "violations": problems, "valid": not problems}
     code = _finish(cfg, "validate-space", payload, cfg.get("seed"))
@@ -186,14 +186,16 @@ def _cmd_constants(cfg) -> int:
 def _cmd_transport(cfg) -> int:
     seed = _require_seed(cfg)
     alpha = _parse_alpha(cfg["alpha"])
-    space = _build_space(cfg)
-    mu = _build_measure(cfg, space)
+    space, mu = _build_space_and_measure(cfg)
     if "source" not in cfg:
         raise ConfigError("transport needs a 'source' measure spec")
     nu = measure_from_dict(cfg["source"], space)
     cost, plan = optimal_cost(alpha, space, nu, mu)
     json_path, csv_path = _out_paths(cfg, "transport-plan")
-    plan_to_csv(plan, cost_matrix(alpha, space), csv_path)
+    costs = cost_matrix(alpha, space)
+    reports.write_csv([{"i": int(i), "j": int(j), "mass": float(plan.matrix[i, j]),
+                        "cost_contrib": float(plan.matrix[i, j] * costs[i, j])}
+                       for i, j in np.argwhere(plan.matrix > 0)], csv_path)
     payload = {"cost": cost, "dual_gap": plan.dual_gap,
                "row_residual": plan.row_residual,
                "col_residual": plan.col_residual, "plan_csv": csv_path}
@@ -203,8 +205,7 @@ def _cmd_transport(cfg) -> int:
 def _cmd_estimate(cfg) -> int:
     seed = _require_seed(cfg)
     alpha = _parse_alpha(cfg["alpha"])
-    space = _build_space(cfg)
-    mu = _build_measure(cfg, space)
+    space, mu = _build_space_and_measure(cfg)
     which = cfg["target"]
     if which == "T":
         est = inequalities.transport_constant_estimate(alpha, space, mu, seed=seed)
@@ -238,8 +239,7 @@ _CHAIN_NAMES = {
 def _cmd_verify(cfg) -> int:
     seed = _require_seed(cfg)
     alpha = _parse_alpha(cfg["alpha"])
-    space = _build_space(cfg)
-    mu = _build_measure(cfg, space)
+    space, mu = _build_space_and_measure(cfg)
     which = cfg["chain"]
     if which in _CHAIN_NAMES:
         adjacency = None
@@ -285,7 +285,7 @@ def _cmd_verify(cfg) -> int:
 def _cmd_lemma_bounds(cfg) -> int:
     seed = _require_seed(cfg)
     alpha = _parse_alpha(cfg["alpha"])
-    space = _build_space(cfg)
+    space, _ = _build_space(cfg)
     rng = np.random.default_rng(seed)
     n = int(cfg.get("order", 1))
     t = float(cfg.get("t", 0.5))

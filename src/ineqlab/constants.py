@@ -221,14 +221,8 @@ class ConstantBundle:
     a_general: float
     a_geodesic: float
 
-    def xi(self, x: float) -> float:
-        return xi_value(self.alpha, x)
-
     def epsilon(self, t: float) -> float:
         return epsilon_value(self.exps.p_exp, t)
-
-    def growth_factor(self, t: float) -> float:
-        return growth_factor(self.alpha, self.a_premise, t)
 
     def as_dict(self) -> dict:
         return {

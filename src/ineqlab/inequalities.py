@@ -34,7 +34,7 @@ from .constants import (
     kappa_tilde,
     tau_lsi_transport_constant,
 )
-from .infconv import lipschitz_seminorm, p_conv
+from .infconv import _q_rows, lipschitz_seminorm, p_conv
 from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
@@ -146,27 +146,67 @@ def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """Inf-convolution values for each row of potentials (order 1).
-
-    Q[b, i] = min_j (f[b, j] + c[i, j]) as a running minimum over the
-    target columns j, so every temporary has the shape of ``fs``.
-    """
-    out = fs[:, :1] + costs[:, 0]
-    for j in range(1, fs.shape[1]):
-        np.minimum(out, fs[:, j:j + 1] + costs[:, j], out=out)
-    return out
+def _gauge_entropy(mu: np.ndarray, fs: np.ndarray):
+    """Rows gauge-shifted to max 0, their weights mu e^f and Ent(e^f)."""
+    fs = fs - fs.max(axis=1, keepdims=True)
+    raw = mu[None, :] * np.exp(fs)
+    mass = raw.sum(axis=1)
+    return fs, raw, (raw * fs).sum(axis=1) - mass * np.log(mass)
 
 
 def _tau_pieces(mu: np.ndarray, costs: np.ndarray, fs: np.ndarray):
     """(entropy of e^f, defect integral) for each gauge-shifted row."""
-    fs = fs - fs.max(axis=1, keepdims=True)
-    qs = _q_rows(costs, fs)
-    ef = np.exp(fs)
-    mass = (mu[None, :] * ef).sum(axis=1)
-    ent = (mu[None, :] * ef * fs).sum(axis=1) - mass * np.log(mass)
-    defect = (mu[None, :] * ef * (fs - qs)).sum(axis=1)
-    return ent, defect
+    fs, raw, ent = _gauge_entropy(mu, fs)
+    return ent, (raw * (fs - _q_rows(costs, fs))).sum(axis=1)
+
+
+def _gauge_clip(f_bound: float):
+    """Row-wise projection of potentials onto max f = 0, min f >= -f_bound."""
+    return lambda f: np.clip(f - f.max(axis=-1, keepdims=True), -f_bound, 0.0)
+
+
+class _Scan(NamedTuple):
+    """Best row of a dense ratio scan: its ratio (-inf when no row
+    qualifies), the row and its denominator, and the scan's counts."""
+
+    ratio: float
+    row: np.ndarray
+    den: float
+    rows: int
+    skipped: int
+    degenerate: int = 0
+    degenerate_entropy: float = 0.0
+
+    def merge(self, later: "_Scan") -> "_Scan":
+        """The scan of self's rows followed by later's: the larger ratio
+        wins, a tie keeps self's row, and the counts add up."""
+        best = later if later.ratio > self.ratio else self
+        return _Scan(best.ratio, best.row, best.den, self.rows + later.rows,
+                     self.skipped + later.skipped,
+                     self.degenerate + later.degenerate,
+                     max(self.degenerate_entropy, later.degenerate_entropy))
+
+    def result(self, method: str, notes: tuple[str, ...] = ()) -> EstimateResult:
+        return EstimateResult(float(max(self.ratio, 0.0)),
+                              None if self.ratio == -np.inf else self.row,
+                              self.rows, self.skipped, method,
+                              degenerate_witnesses=self.degenerate,
+                              degenerate_entropy=self.degenerate_entropy,
+                              notes=notes)
+
+
+def _best_ratio(num, den, ok, rows, degenerate=None) -> _Scan:
+    """The row of ``rows`` with the largest num/den among the ``ok`` ones
+    (the first on ties); the others count as skipped.  ``degenerate`` marks
+    skipped rows that witness an infinite constant; their largest num is
+    kept."""
+    ratios = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
+    k = int(np.argmax(ratios))
+    skipped = int(np.size(ok) - np.count_nonzero(ok))
+    if degenerate is None:
+        return _Scan(ratios[k], rows[k], den[k], rows.shape[0], skipped)
+    return _Scan(ratios[k], rows[k], den[k], rows.shape[0], skipped,
+                 int(degenerate.sum()), float(num[degenerate].max(initial=0.0)))
 
 
 def _verdict(ratio: float, rel_tol: float) -> str:
@@ -251,7 +291,16 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                 else search.simplex_grid(3, max(scan_step, 2e-3)))
         cands = np.concatenate([grid, shell])
         costs = BasisScanner(alpha, space, mu).costs(cands)
-        return _ratio_scan(costs, cands, mu_w, entropy_floor, f"dense-scan-{n}pt")
+        ents = _entropy_vec(cands, mu_w)
+        scan = _best_ratio(costs, ents, ents >= entropy_floor, cands)
+        if scan.ratio == -np.inf:
+            notes = ("no candidate above the entropy floor",)
+        elif scan.den <= entropy_floor * 16.0:
+            notes = ("supremum attained near the entropy floor: the unfloored "
+                     "supremum diverges",)
+        else:
+            notes = ()
+        return scan.result(f"dense-scan-{n}pt", notes)
     return _transport_ascent(alpha, space, mu, entropy_floor, shell,
                              budget or SearchBudget(), seed, extra_sources,
                              polish_iterations)
@@ -264,22 +313,6 @@ def _restrict(space, mu, idx):
     return sub, ProbMeasure(mu.weights[idx] / mu.weights[idx].sum())
 
 
-def _ratio_scan(costs, cands, mu_w, floor, method) -> EstimateResult:
-    ents = _entropy_vec(cands, mu_w)
-    ok = ents >= floor
-    n_excluded = int(np.size(ok) - np.count_nonzero(ok))
-    if not np.any(ok):
-        return EstimateResult(0.0, None, cands.shape[0], n_excluded, method,
-                              notes=("no candidate above the entropy floor",))
-    ratios = np.where(ok, costs / np.where(ok, ents, 1.0), -np.inf)
-    k = int(np.argmax(ratios))
-    at_boundary = bool(ents[k] <= floor * 16.0)
-    notes = ("supremum attained near the entropy floor: the unfloored "
-             "supremum diverges",) if at_boundary else ()
-    return EstimateResult(float(ratios[k]), cands[k], cands.shape[0],
-                          n_excluded, method, notes=notes)
-
-
 def _transport_ascent(alpha, space, mu, floor, shell, budget, seed,
                       extra_sources, polish_iterations=0):
     n = space.size
@@ -290,16 +323,16 @@ def _transport_ascent(alpha, space, mu, floor, shell, budget, seed,
 
     cost_cache: dict = {}
 
+    def solve(nu):
+        key = nu.tobytes()
+        if key not in cost_cache:
+            cost_cache[key] = optimal_cost(alpha, space, ProbMeasure(nu), mu)
+        return cost_cache[key]
+
     def transport_cost_rows(nus):
         if scanner is not None:
             return scanner.costs(nus)
-        out = np.empty(nus.shape[0])
-        for i, row in enumerate(nus):
-            key = row.tobytes()
-            if key not in cost_cache:
-                cost_cache[key] = optimal_cost(alpha, space, ProbMeasure(row), mu)
-            out[i] = cost_cache[key][0]
-        return out
+        return np.array([solve(row)[0] for row in nus])
 
     def objective(nus):
         ents = _entropy_vec(nus, mu_w)
@@ -311,10 +344,7 @@ def _transport_ascent(alpha, space, mu, floor, shell, budget, seed,
 
     def gradient(nu):
         # envelope theorem: the source-side potential is the cost gradient
-        key = nu.tobytes()
-        if key not in cost_cache:
-            cost_cache[key] = optimal_cost(alpha, space, ProbMeasure(nu), mu)
-        cost, plan = cost_cache[key]
+        cost, plan = solve(nu)
         h = float(_entropy_vec(nu[None, :], mu_w)[0])
         dh = np.log(nu / mu_w) + 1.0
         return (plan.potential_source * h - cost * dh) / h**2
@@ -427,7 +457,7 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
     n = space.size
     if n == 2:
         fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
-        return _tau_scan(mu.weights, costs, fs, "dense-scan-2pt")
+        return _tau_best(mu.weights, costs, fs).result("dense-scan-2pt")
     if n == 3:
         coarse = _tau_best(mu.weights, costs,
                            _triple_potentials(0.1, -f_bound, f_bound))
@@ -440,47 +470,12 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
                        f_bound)
 
 
-class _TauScan(NamedTuple):
-    """One dense scan: the best raw ratio (-inf when every row is skipped),
-    its row, and the scan's counts."""
-
-    ratio: float
-    row: np.ndarray
-    rows: int
-    skipped: int
-    degenerate: int
-    degenerate_entropy: float
-
-    def merge(self, later: "_TauScan") -> "_TauScan":
-        """The scan of self's rows followed by later's: the larger ratio
-        wins, a tie keeps self's row, and the counts add up."""
-        best = later if later.ratio > self.ratio else self
-        return _TauScan(best.ratio, best.row, self.rows + later.rows,
-                        self.skipped + later.skipped,
-                        self.degenerate + later.degenerate,
-                        max(self.degenerate_entropy, later.degenerate_entropy))
-
-    def result(self, method: str) -> EstimateResult:
-        return EstimateResult(float(max(self.ratio, 0.0)),
-                              None if self.ratio == -np.inf else self.row,
-                              self.rows, self.skipped, method,
-                              degenerate_witnesses=self.degenerate,
-                              degenerate_entropy=self.degenerate_entropy)
-
-
-def _tau_best(mu_w, costs, fs) -> _TauScan:
+def _tau_best(mu_w, costs, fs) -> _Scan:
+    """Dense tau scan: rows with defect below the floor are skipped, and
+    those among them with positive entropy are degeneracy witnesses."""
     ent, defect = _tau_pieces(mu_w, costs, fs)
     skip = defect < DENOM_FLOOR
-    degenerate = skip & (ent > 1e-12)
-    ok = ~skip
-    ratios = np.where(ok, ent / np.where(ok, defect, 1.0), -np.inf)
-    k = int(np.argmax(ratios))
-    return _TauScan(ratios[k], fs[k], fs.shape[0], int(skip.sum()),
-                    int(degenerate.sum()), float(ent[degenerate].max(initial=0.0)))
-
-
-def _tau_scan(mu_w, costs, fs, method) -> EstimateResult:
-    return _tau_best(mu_w, costs, fs).result(method)
+    return _best_ratio(ent, defect, ~skip, fs, skip & (ent > 1e-12))
 
 
 def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
@@ -491,12 +486,9 @@ def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
         return np.where(defect >= DENOM_FLOOR,
                         ent / np.maximum(defect, DENOM_FLOOR), -np.inf)
 
-    def project(f):
-        f = f - f.max(axis=-1, keepdims=True)
-        return np.clip(f, -f_bound, 0.0)
-
     starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
-    best, witness, evals = search.multistart_maximize(objective, starts, project, budget)
+    best, witness, evals = search.multistart_maximize(objective, starts,
+                                                      _gauge_clip(f_bound), budget)
     return EstimateResult(max(best, 0.0), witness, evals, 0, "multistart-ascent")
 
 
@@ -521,14 +513,10 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
     mu_w = mu.weights
-    if adjacency is not None:
-        adjacency = _neighbours(space, adjacency)
+    adjacency = _neighbours(space, adjacency)
 
     def pieces(fs):
-        fs = fs - fs.max(axis=1, keepdims=True)
-        raw = mu_w[None, :] * np.exp(fs)
-        mass = raw.sum(axis=1)
-        ent = (raw * fs).sum(axis=1) - mass * np.log(mass)
+        fs, raw, ent = _gauge_entropy(mu_w, fs)
         conj = np.asarray(alpha.conjugate(slope_vector(space, fs, sign, adjacency)),
                           dtype=float)
         with np.errstate(invalid="ignore"):
@@ -540,15 +528,9 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     if space.size == 2:
         fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
         ent, den = pieces(fs)
-        ok = (den >= DENOM_FLOOR) & np.isfinite(den)
-        if not np.any(ok):
-            return EstimateResult(0.0, None, fs.shape[0], int((~ok).sum()),
-                                  "dense-scan-2pt-surrogate")
-        ratios = np.where(ok, ent / np.where(ok, den, 1.0), -np.inf)
-        k = int(np.argmax(ratios))
-        return EstimateResult(float(ratios[k]), fs[k], fs.shape[0],
-                              int((~ok).sum()), "dense-scan-2pt-surrogate",
-                              notes=("slope surrogate",))
+        scan = _best_ratio(ent, den, (den >= DENOM_FLOOR) & np.isfinite(den), fs)
+        return scan.result("dense-scan-2pt-surrogate",
+                           () if scan.ratio == -np.inf else ("slope surrogate",))
 
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
@@ -558,12 +540,10 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         good = (den >= DENOM_FLOOR) & np.isfinite(den)
         return np.where(good, ent / np.maximum(den, DENOM_FLOOR), -np.inf)
 
-    def project(f):
-        return np.clip(f - f.max(axis=-1, keepdims=True), -f_bound, 0.0)
-
     starts = [rng.uniform(-2.0, 0.0, space.size) for _ in range(budget.starts)]
     starts.extend(_smooth_starts(space))
-    best, witness, evals = search.multistart_maximize(objective, starts, project, budget)
+    best, witness, evals = search.multistart_maximize(objective, starts,
+                                                      _gauge_clip(f_bound), budget)
     return EstimateResult(max(best, 0.0), witness, evals, 0,
                           "multistart-ascent-surrogate",
                           notes=("slope surrogate",))
@@ -837,7 +817,7 @@ def _zero_defect_entropy(alpha, lam, space, mu):
     for i in range(space.size):
         f = np.zeros(space.size)
         f[i] = -c
-        qf = np.min(f[None, :] + costs, axis=1)
+        qf = _q_rows(costs, f[None, :])[0]
         if float(np.max(np.abs(f - qf))) > 0.0:
             continue
         best = max(best, exp_entropy(mu, f))

@@ -103,6 +103,18 @@ def p_conv(alpha: YoungFunction, f, space: FiniteMetricSpace,
     return -vals, ArgminWitness(indices=wit.indices, achieved=-wit.achieved)
 
 
+def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Inf-convolution values for each row of potentials (order 1).
+
+    Q[b, i] = min_j (f[b, j] + c[i, j]) as a running minimum over the
+    target columns j, so every temporary has the shape of ``fs``.
+    """
+    out = fs[:, :1] + costs[:, 0]
+    for j in range(1, fs.shape[1]):
+        np.minimum(out, fs[:, j:j + 1] + costs[:, j], out=out)
+    return out
+
+
 def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
               coord: int, n: int) -> np.ndarray:
     """Inf-convolution in one coordinate only:
@@ -112,7 +124,7 @@ def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
         raise ValueError("coordinate out of range")
     cost = cost_matrix(alpha, space, lam)
     moved = np.moveaxis(h, coord, -1)
-    val = np.min(moved[..., None, :] + cost, axis=-1)
+    val = _q_rows(cost, moved.reshape(-1, space.size)).reshape(moved.shape)
     return np.moveaxis(val, -1, coord)
 
 

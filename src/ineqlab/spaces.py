@@ -11,14 +11,15 @@ points and hence everywhere on a finite space.  The global variant takes
 the extremal difference quotient over all other points; the neighbor
 variant restricts to a supplied adjacency (the natural choice on grid
 discretizations of intervals and circles, where it converges to the
-continuum modulus).  Results built on slopes are labelled as surrogate
-quantities by the calling layers.
+continuum modulus).  Both are one kernel: the global slope is the
+neighbor slope of the adjacency in which every other point is a
+neighbor.  Results built on slopes are labelled as surrogate quantities
+by the calling layers.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,13 +37,11 @@ __all__ = [
     "grid1d_space",
     "space_from_dict",
     "measure_from_dict",
-    "load_space_file",
     "relative_entropy",
     "exp_entropy",
     "slope",
     "slope_vector",
     "grid_adjacency",
-    "product",
 ]
 
 
@@ -286,15 +285,6 @@ def _eval_density(text: str, x: np.ndarray):
         raise ValueError(f"density {text!r} cannot be evaluated: {exc}") from exc
 
 
-def load_space_file(path) -> tuple[FiniteMetricSpace, ProbMeasure | None]:
-    """Read a JSON document holding a space spec and optionally a measure."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    space = space_from_dict(doc)
-    mu = measure_from_dict(doc["measure"], space) if "measure" in doc else None
-    return space, mu
-
-
 # ---------------------------------------------------------------------------
 # entropies
 
@@ -333,22 +323,6 @@ def exp_entropy(mu, f) -> float:
 # slopes
 
 
-# bytes of the (B, n, n) temporaries the pairwise kernels build per block
-_PAIR_BLOCK_BYTES = 1 << 20
-
-
-def _pair_blocks(rows: int, n: int):
-    """Row slices whose (B, n, n) float64 temporaries stay near 1 MB.
-
-    Rows are evaluated independently, so blocking leaves every value
-    unchanged while bounding memory when many rows arrive at once (a
-    lock-step multistart round holds every start's probes).
-    """
-    block = max(1, _PAIR_BLOCK_BYTES // (n * n * 8))
-    for lo in range(0, rows, block):
-        yield slice(lo, lo + block)
-
-
 def _rectify(diff: np.ndarray, sign: str) -> np.ndarray:
     if sign == "+":
         return np.maximum(diff, 0.0)
@@ -374,7 +348,8 @@ class _Neighbours(NamedTuple):
 
     Short lists repeat their own neighbours, so maxima are unchanged; a
     point with no neighbours points at itself at infinite distance, so its
-    quotients are 0/inf = 0.
+    quotients are 0/inf = 0.  No adjacency means every other point: slot s
+    of point i is point (i + s + 1) mod n.
     """
 
     idx: np.ndarray
@@ -385,6 +360,8 @@ def _neighbours(space: FiniteMetricSpace, adjacency) -> _Neighbours:
     if isinstance(adjacency, _Neighbours):
         return adjacency
     points = np.arange(space.size)
+    if adjacency is None:
+        adjacency = [(i + np.arange(1, space.size)) % space.size for i in points]
     k = max([1] + [len(js) for js in adjacency])
     idx = np.repeat(points[None, :], k, axis=0)
     lone = np.ones(space.size, dtype=bool)
@@ -401,26 +378,17 @@ def slope_vector(space: FiniteMetricSpace, f, sign: str = "+",
                  adjacency: list[np.ndarray] | None = None) -> np.ndarray:
     """Slope modulus at every point, for f of shape (n,) or (..., n).
 
-    Rows are independent; global quotients are built in (B, n, n) blocks
-    of about 1 MB (:func:`_pair_blocks`).  Neighbour quotients are a
-    running maximum over the padded neighbour slots, one (B, n) gather
-    each; a caller that evaluates many f on one adjacency may pass
-    ``_neighbours(space, adjacency)`` to pad it once.
+    A running maximum over the padded neighbour slots (every other point
+    when ``adjacency`` is None), one (rows, n) gather each, so every
+    temporary has the shape of ``f``.  A caller that evaluates many f on
+    one adjacency may pass ``_neighbours(space, adjacency)`` to pad it once.
     """
     f = np.asarray(f, dtype=float)
     fs = f.reshape(-1, space.size)
-    if adjacency is not None:
-        nb = _neighbours(space, adjacency)
-        out = _rectify(fs[:, nb.idx[0]] - fs, sign) / nb.dist[0]
-        for idx, dist in zip(nb.idx[1:], nb.dist[1:]):
-            np.maximum(out, _rectify(fs[:, idx] - fs, sign) / dist, out=out)
-        return out.reshape(f.shape)
-    out = np.empty(fs.shape)
-    d = space.dist.copy()
-    np.fill_diagonal(d, np.inf)
-    for rows in _pair_blocks(fs.shape[0], space.size):  # (B, at, toward)
-        quot = _rectify(fs[rows, None, :] - fs[rows, :, None], sign) / d
-        out[rows] = quot.max(axis=2)
+    nb = _neighbours(space, adjacency)
+    out = _rectify(fs[:, nb.idx[0]] - fs, sign) / nb.dist[0]
+    for idx, dist in zip(nb.idx[1:], nb.dist[1:]):
+        np.maximum(out, _rectify(fs[:, idx] - fs, sign) / dist, out=out)
     return out.reshape(f.shape)
 
 
@@ -462,15 +430,3 @@ class ProductSpace:
         for _ in range(self.n - 1):
             out = np.multiply.outer(out, w)
         return out
-
-    def tuples(self):
-        """Iterate index tuples in C order."""
-        return np.ndindex(self.shape)
-
-    def coordinate_distance(self, axis_points: np.ndarray, j: int) -> np.ndarray:
-        """Distances from every base point to base point j (projection helper)."""
-        return self.base.dist[axis_points, j]
-
-
-def product(space: FiniteMetricSpace, n: int) -> ProductSpace:
-    return ProductSpace(space, n)

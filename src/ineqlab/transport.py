@@ -23,7 +23,6 @@ feasible upper bound:
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -43,7 +42,6 @@ __all__ = [
     "northwest_corner_cost",
     "BasisScanner",
     "cost_matrix",
-    "plan_to_csv",
 ]
 
 _DUAL_GAP_TOL = 1e-9
@@ -320,15 +318,3 @@ class BasisScanner:
         # einsum, not a BLAS matmul, so a row's value is independent of its batch
         vals = np.einsum("bk,vk->bv", nus, self._phi) + self._offset
         return np.maximum(vals.max(axis=1), 0.0)
-
-
-def plan_to_csv(plan: TransportPlan, costs: np.ndarray, path) -> None:
-    """Write the support of the plan as rows (i, j, mass, cost_contrib)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass", "cost_contrib"])
-        nz = np.argwhere(plan.matrix > 0)
-        for i, j in nz:
-            mass = plan.matrix[i, j]
-            writer.writerow([int(i), int(j), f"{mass:.17g}",
-                             f"{mass * costs[i, j]:.17g}"])

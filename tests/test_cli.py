@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_measure, random_metric_space
 from ineqlab import cli
 from ineqlab.cli import main
 from ineqlab.constants import ThresholdZeroError
@@ -118,6 +119,21 @@ class TestMeasureErrors:
                     "--space-file", two_point_file,
                     "--output-dir", str(tmp_path)]) == 1
 
+    def test_missing_space_file_exit_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
+                    "--space-file", missing, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "absent.json" in err
+        assert run(["validate-space", "--space-file", str(tmp_path),
+                    "--output-dir", str(tmp_path)]) == 1  # a directory
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"dist": ')
+        capsys.readouterr()
+        assert run(["validate-space", "--space-file", str(broken),
+                    "--output-dir", str(tmp_path)]) == 1
+        assert "broken.json: line 1" in capsys.readouterr().err
+
 
 class TestFailureExitCodes:
     @pytest.mark.parametrize("error", [UnboundedConjugateError,
@@ -158,6 +174,33 @@ class TestRuns:
         assert rows[0] == "i,j,mass,cost_contrib"
         report = json.loads((tmp_path / "transport.json").read_text())
         assert report["result"]["cost"] == pytest.approx(0.4)  # |0.9-0.5| * 1
+
+    def test_plan_csv_export(self, tmp_path, rng, monkeypatch):
+        space = random_metric_space(rng, 3)
+        nu, mu = random_measure(rng, 3), random_measure(rng, 3)
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps({"dist": space.dist.tolist(),
+                                          "measure": {"weights": mu.weights.tolist()}}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source": {"weights": nu.weights.tolist()}}))
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert run(["transport", "--config", str(cfg_path), "--alpha", "power:2,2",
+                    "--seed", "7", "--space-file", str(space_path),
+                    "--output-dir", str(tmp_path)]) == 0
+        assert opened.count(str(space_path)) == 1  # the space file is read once
+        data = (tmp_path / "transport-plan.csv").read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        rows = data.decode().splitlines()
+        assert rows[0] == "i,j,mass,cost_contrib"
+        cost = json.loads((tmp_path / "transport.json").read_text())["result"]["cost"]
+        total = sum(float(r.split(",")[3]) for r in rows[1:])
+        assert total == pytest.approx(cost, abs=1e-9)
 
     def test_estimate_and_verify_exit_codes(self, tmp_path, two_point_file):
         assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",

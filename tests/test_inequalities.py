@@ -22,7 +22,7 @@ from ineqlab.inequalities import (
     transport_constant_estimate,
     verify_chain,
 )
-from ineqlab import inequalities, search, spaces, transport
+from ineqlab import inequalities, infconv, search, transport
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
@@ -556,8 +556,10 @@ def _large_pair_estimates(rng):
 
 
 def test_pair_kernels_bounded_memory(rng):
-    # global-slope and inf-convolution rows are blocked, so a whole lock-step
-    # round stays far below its unblocked (rows, n, n) size
+    # the global slope is a running maximum over the other points and the
+    # inf-convolution a running minimum over the targets, both with (rows, n)
+    # temporaries, and objective calls are split by row count, so a whole
+    # lock-step round stays far below its unblocked (rows, n, n) size
     for estimate in _large_pair_estimates(rng):
         tracemalloc.start()
         try:
@@ -570,33 +572,37 @@ def test_pair_kernels_bounded_memory(rng):
 
 @pytest.mark.parametrize("kind", ["mlsi_global", "tau"])
 def test_pair_kernel_blocking_exact(kind, rng, monkeypatch):
-    # blocks of three rows give the same estimate, bit for bit: the global
-    # slope blocks its (B, n, n) kernel, and the tau ascent, whose
-    # inf-convolution is a running minimum, gets three-row objective calls
+    # three-row objective calls give the same estimate, bit for bit: the
+    # global slope and the inf-convolution evaluate every row on its own
     space = random_metric_space(rng, 9)
     mu = random_measure(rng, 9)
     budget = SearchBudget(starts=5, iterations=30)
+    sizes = []
     if kind == "tau":
         run = lambda: tau_lsi_constant_estimate(PowerYoung(2, 2), 0.01, space, mu,
                                                 seed=2, budget=budget)
-        module, name, size = search, "_CALL_BLOCK_BYTES", 3 * 9 * 8
+        tau_pieces = inequalities._tau_pieces
+
+        def spy(mu_w, costs, fs):
+            sizes.append(fs.shape[0])
+            return tau_pieces(mu_w, costs, fs)
+
+        name = "_tau_pieces"
     else:
         run = lambda: mlsi_constant_estimate(PowerYoung(2, 2), space, mu, "+",
                                              seed=2, budget=budget)
-        module, name, size = spaces, "_PAIR_BLOCK_BYTES", 3 * 9 * 9 * 8
+        slope_vector = inequalities.slope_vector
+
+        def spy(space, fs, sign, adjacency):
+            sizes.append(fs.shape[0])
+            return slope_vector(space, fs, sign, adjacency)
+
+        name = "slope_vector"
     ref = run()
-    monkeypatch.setattr(module, name, size)
-    sizes = []
-    tau_pieces = inequalities._tau_pieces
-
-    def spy(mu_w, costs, fs):
-        sizes.append(fs.shape[0])
-        return tau_pieces(mu_w, costs, fs)
-
-    monkeypatch.setattr(inequalities, "_tau_pieces", spy)
+    monkeypatch.setattr(search, "_CALL_BLOCK_BYTES", 3 * 9 * 8)
+    monkeypatch.setattr(inequalities, name, spy)
     got = run()
-    if kind == "tau":  # the tau rows really reach the objective three at a time
-        assert max(sizes) == 3
+    assert max(sizes) == 3  # the rows really reach the kernel three at a time
     assert got.value == ref.value
     assert got.n_candidates == ref.n_candidates
     assert np.array_equal(got.witness, ref.witness)
@@ -644,13 +650,13 @@ def test_tau_zoom_merge_equals_concatenated_scan(seed, lam, pair):
     est = tau_lsi_constant_estimate(alpha, lam, space, mu)
     costs = transport.cost_matrix(alpha, space, lam)
     coarse = inequalities._triple_potentials(0.1, -20.0, 20.0)
-    first = inequalities._tau_scan(mu.weights, costs, coarse, "dense-scan-3pt")
+    first = inequalities._tau_best(mu.weights, costs, coarse).result("dense-scan-3pt")
     if first.witness is None:
         assert _scan_fields(est) == _scan_fields(first) and est.witness is None
         return
     zoomed = inequalities._triple_potentials(2e-3, center=first.witness[1:], width=0.12)
-    want = inequalities._tau_scan(mu.weights, costs, np.concatenate([coarse, zoomed]),
-                                  "dense-scan-3pt-zoom")
+    want = inequalities._tau_best(mu.weights, costs, np.concatenate([coarse, zoomed]))
+    want = want.result("dense-scan-3pt-zoom")
     assert _scan_fields(est) == _scan_fields(want)
     assert np.array_equal(est.witness, want.witness)
 
@@ -666,7 +672,7 @@ def test_tau_scan_merge_ties_keep_the_earlier_row(rng):
     rows = np.column_stack([np.zeros(40), lattice])
     flat = np.zeros((5, 3))  # zero defect and zero entropy: always skipped
     for fs in (np.concatenate([rows, rows + 2.0]), np.concatenate([flat, rows, flat])):
-        whole = inequalities._tau_scan(mu.weights, costs, fs, "m")
+        whole = inequalities._tau_best(mu.weights, costs, fs).result("m")
         for cut in (1, 5, 20, 40, fs.shape[0] - 1):
             a = inequalities._tau_best(mu.weights, costs, fs[:cut])
             b = inequalities._tau_best(mu.weights, costs, fs[cut:])
@@ -674,14 +680,23 @@ def test_tau_scan_merge_ties_keep_the_earlier_row(rng):
             assert _scan_fields(got) == _scan_fields(whole)
             assert got.witness is whole.witness or np.array_equal(got.witness,
                                                                   whole.witness)
-    empty = inequalities._tau_scan(mu.weights, costs, flat, "m")
+    empty = inequalities._tau_best(mu.weights, costs, flat).result("m")
     assert empty.witness is None and empty.value == 0.0
 
 
 def test_q_rows_running_minimum_matches_full_minimum(rng):
+    alpha = PowerYoung(3, 2)
     for n in (2, 3, 5, 9):
         space = random_metric_space(rng, n)
-        costs = transport.cost_matrix(PowerYoung(3, 2), space, 0.7)
+        costs = transport.cost_matrix(alpha, space, 0.7)
         fs = rng.uniform(-5.0, 1.0, (257, n))
         want = np.min(fs[:, None, :] + costs[None, :, :], axis=2)
-        assert np.array_equal(inequalities._q_rows(costs, fs), want)
+        assert np.array_equal(infconv._q_rows(costs, fs), want)
+        # partial_q runs the same kernel along one axis of a product
+        for order in (2, 3):
+            h = rng.uniform(-5.0, 1.0, (n,) * order)
+            for coord in range(order):
+                moved = np.moveaxis(h, coord, -1)
+                full = np.min(moved[..., None, :] + costs, axis=-1)
+                assert np.array_equal(infconv.partial_q(alpha, 0.7, h, space, coord, order),
+                                      np.moveaxis(full, -1, coord))

@@ -19,7 +19,6 @@ from ineqlab.transport import (
     cost_matrix,
     northwest_corner_cost,
     optimal_cost,
-    plan_to_csv,
 )
 from ineqlab.young import PowerYoung, ScaledYoung
 
@@ -203,21 +202,6 @@ class TestInvariants:
         monkeypatch.setattr(transport, "linprog", infeasible)
         with pytest.raises(SolverFailure, match="dual potentials"):
             optimal_cost(a, space, nu, mu)
-
-
-def test_plan_csv_export(tmp_path, rng):
-    space = random_metric_space(rng, 3)
-    nu, mu = random_measure(rng, 3), random_measure(rng, 3)
-    a = PowerYoung(2, 2)
-    cost, plan = optimal_cost(a, space, nu, mu)
-    costs = np.asarray(a(space.dist))
-    np.fill_diagonal(costs, 0.0)
-    out = tmp_path / "plan.csv"
-    plan_to_csv(plan, costs, out)
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "i,j,mass,cost_contrib"
-    total = sum(float(r.split(",")[3]) for r in rows[1:])
-    assert total == pytest.approx(cost, abs=1e-9)
 
 
 def test_brute_force_size_guard(rng):
