@@ -52,8 +52,8 @@ from .search import (
 from .transport import (
     _DUAL_GAP_TOL as _LP_GAP_TOL,
     BasisScanner,
+    _northwest_corner,
     cost_matrix,
-    northwest_corner_cost,
     optimal_cost,
 )
 from .young import YoungFunction, exponents
@@ -398,11 +398,10 @@ def _pruned_lp_scan(alpha, space, mu, floor, starts, objective):
     ents = _entropy_vec(nus, mu.weights)
     above = np.flatnonzero(ents >= floor)
     h = ents[above]
-    ub = np.array([northwest_corner_cost(alpha, space, ProbMeasure(nus[k]), mu)
-                   for k in above])
+    costs = cost_matrix(alpha, space)
+    ub = _northwest_corner(costs, nus[above], mu.weights)
     margin = (2.0 * _LP_GAP_TOL + 1e-12 * ub
-              + np.abs(nus[above].sum(axis=1) - mu.weights.sum())
-              * cost_matrix(alpha, space).max())
+              + np.abs(nus[above].sum(axis=1) - mu.weights.sum()) * costs.max())
     reach = (ub + margin) / h
     best, best_k = -np.inf, 0
     for i in np.argsort(-(ub / h), kind="stable"):

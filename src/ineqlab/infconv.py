@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, slope_vector
+from .spaces import FiniteMetricSpace, _neighbours, slope_vector
 from .transport import cost_matrix
 from .young import YoungFunction, epsilon_value, exponents, xi_value
 
@@ -237,9 +237,10 @@ def gradient_diagnostic(alpha: YoungFunction, f, t: float,
     f = _check_shape(f, space.size, n)
     qf, wit = q_conv(alpha, 1.0, f, space, n)
     lhs = np.zeros_like(qf)
+    neighbours = _neighbours(space, None)
     for i in range(n):
         moved = np.moveaxis(qf, i, -1)
-        slopes = slope_vector(space, moved, "+")
+        slopes = slope_vector(space, moved, "+", neighbours)
         lhs += np.moveaxis(np.asarray(alpha.conjugate(t * slopes)), -1, i)
     xi_t = xi_value(alpha, t)
     rhs = t * xi_t * (qf - f[tuple(np.moveaxis(wit.indices, -1, 0))])

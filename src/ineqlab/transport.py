@@ -3,9 +3,9 @@
 Three routes to the same number, kept deliberately independent, and one
 feasible upper bound:
 
-* :func:`optimal_cost` solves the transport linear program (HiGHS) and
-  certifies optimality with feasible Kantorovich potentials and a duality
-  gap below 1e-9;
+* :func:`optimal_cost` solves the transport linear program once (HiGHS,
+  presolve off) and certifies optimality with feasible Kantorovich
+  potentials and a duality gap below 1e-9;
 * :func:`brute_force_cost` enumerates the basic feasible solutions of the
   transport polytope through spanning-tree bases of the complete bipartite
   graph (exact primal reference for tiny instances);
@@ -105,6 +105,12 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     the returned potentials: phi(i) + psi(j) <= cost(i, j) everywhere and
     phi.nu + psi.mu matches the primal value, both within 1e-9, or
     :class:`SolverFailure` is raised.
+
+    HiGHS runs once, without presolve.  Presolve can misread marginals
+    near or below its feasibility tolerance (about 1e-7, as in the tails of
+    a discretized Gaussian) as an infeasible LP, although the transport
+    polytope is never empty for equal total masses; and these LPs also
+    solve faster without it.
     """
     n = space.size
     if nu.size != n or mu.size != n:
@@ -112,14 +118,10 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     costs = cost_matrix(alpha, space)
     a_eq = _marginal_constraints(n)
     b_eq = np.concatenate([nu.weights, mu.weights])
+    # one solve, presolve off: presolve can misread sub-tolerance marginals
+    # as infeasible (see the docstring)
     res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if res.status == 2:
-        # presolve misreads marginals below its feasibility tolerance
-        # (~1e-7) as infeasible; the polytope is never empty for matching
-        # total masses, so retry without it
-        res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options={"presolve": False})
+                  method="highs", options={"presolve": False})
     if res.status != 0:
         raise SolverFailure(f"linprog status {res.status}: {res.message}")
     plan = res.x.reshape(n, n)
@@ -249,7 +251,8 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
 
 
 def northwest_corner_cost(alpha: YoungFunction, space: FiniteMetricSpace,
-                          nu: ProbMeasure, mu: ProbMeasure) -> float:
+                          nu: ProbMeasure | np.ndarray,
+                          mu: ProbMeasure) -> float | np.ndarray:
     """Cost of the north-west-corner coupling of (nu, mu) in index order.
 
     The plan is filled greedily from (0, 0): each step ships the smaller of
@@ -259,30 +262,49 @@ def northwest_corner_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     :func:`optimal_cost` on any space; on a line with sorted points and a
     cost convex in the distance it is the monotone coupling and exact.
     Mass beyond the smaller total is left unshipped.
+
+    ``nu`` is one measure, or a (B, n) array of source masses for one cost
+    per row; a row costs the same float as alone.
     """
     n = space.size
-    if nu.size != n or mu.size != n:
+    batch = not isinstance(nu, ProbMeasure)
+    srcs = np.asarray(nu, dtype=float) if batch else nu.weights[None, :]
+    if srcs.ndim != 2 or srcs.shape[1] != n or mu.size != n:
         raise ValueError("measures must live on the space")
-    costs = cost_matrix(alpha, space).tolist()
-    src, dst = nu.weights.tolist(), mu.weights.tolist()
-    i = j = 0
-    a, b = src[0], dst[0]
-    total = 0.0
-    while True:
-        m = min(a, b)
-        total += m * costs[i][j]
-        a -= m
-        b -= m
-        if a <= b:  # source i is exhausted
-            i += 1
-            if i == n:
-                return total
-            a = src[i]
-        else:
-            j += 1
-            if j == n:
-                return total
-            b = dst[j]
+    out = _northwest_corner(cost_matrix(alpha, space), srcs, mu.weights)
+    return out if batch else float(out[0])
+
+
+def _northwest_corner(costs: np.ndarray, srcs: np.ndarray,
+                      dst: np.ndarray) -> np.ndarray:
+    """North-west-corner cost of each row of ``srcs`` against ``dst``: the
+    cost matrix is listed once, and each row runs the same Python float
+    loop."""
+    c = costs.tolist()
+    dst = dst.tolist()
+    n = len(dst)
+    out = []
+    for src in srcs.tolist():
+        i = j = 0
+        a, b = src[0], dst[0]
+        total = 0.0
+        while True:
+            m = min(a, b)
+            total += m * c[i][j]
+            a -= m
+            b -= m
+            if a <= b:  # source i is exhausted
+                i += 1
+                if i == n:
+                    break
+                a = src[i]
+            else:
+                j += 1
+                if j == n:
+                    break
+                b = dst[j]
+        out.append(total)
+    return np.array(out, dtype=float)
 
 
 class BasisScanner:
