@@ -147,17 +147,27 @@ def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _gauge_entropy(mu: np.ndarray, fs: np.ndarray):
-    """Rows gauge-shifted to max 0, their weights mu e^f and Ent(e^f)."""
+    """Rows gauge-shifted to max 0, their weights mu e^f and Ent(e^f).
+
+    Every temporary follows the layout of ``fs``.  Row sums follow it too:
+    point-major grids (2-3 points) sum each row in point order, which is
+    the order numpy takes along a row shorter than 8 entries.
+    """
     fs = fs - fs.max(axis=1, keepdims=True)
     raw = mu[None, :] * np.exp(fs)
     mass = raw.sum(axis=1)
     return fs, raw, (raw * fs).sum(axis=1) - mass * np.log(mass)
 
 
+def _defect(costs: np.ndarray, fs: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Defect integral of each gauge-shifted row, given its weights mu e^f."""
+    return (raw * (fs - _q_rows(costs, fs))).sum(axis=1)
+
+
 def _tau_pieces(mu: np.ndarray, costs: np.ndarray, fs: np.ndarray):
     """(entropy of e^f, defect integral) for each gauge-shifted row."""
     fs, raw, ent = _gauge_entropy(mu, fs)
-    return ent, (raw * (fs - _q_rows(costs, fs))).sum(axis=1)
+    return ent, _defect(costs, fs, raw)
 
 
 def _gauge_clip(f_bound: float):
@@ -203,9 +213,10 @@ def _best_ratio(num, den, ok, rows, degenerate=None) -> _Scan:
     ratios = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
     k = int(np.argmax(ratios))
     skipped = int(np.size(ok) - np.count_nonzero(ok))
+    row = rows[k].copy()  # a view would keep the whole scan alive
     if degenerate is None:
-        return _Scan(ratios[k], rows[k], den[k], rows.shape[0], skipped)
-    return _Scan(ratios[k], rows[k], den[k], rows.shape[0], skipped,
+        return _Scan(ratios[k], row, den[k], rows.shape[0], skipped)
+    return _Scan(ratios[k], row, den[k], rows.shape[0], skipped,
                  int(degenerate.sum()), float(num[degenerate].max(initial=0.0)))
 
 
@@ -222,14 +233,23 @@ def _potential_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _pair_potentials(ys: np.ndarray) -> np.ndarray:
-    """Both gauge arrangements (0, y) and (y, 0) on a two-point space."""
+    """Both gauge arrangements (0, y) and (y, 0) on a two-point space.
+
+    Rows (0, y) for every y, then rows (y, 0), laid out point-major: the
+    (B, 2) result is the transpose of a C-ordered (2, B) block, so each
+    point's values form one contiguous column.
+    """
     z = np.zeros_like(ys)
-    return np.concatenate([np.column_stack([z, ys]), np.column_stack([ys, z])])
+    return np.stack([np.concatenate([z, ys]), np.concatenate([ys, z])]).T
 
 
 def _triple_potentials(step: float, lo: float = -20.0, hi: float = 20.0,
                        center=None, width=None) -> np.ndarray:
-    """Gauge family (0, a, b) on a three-point space (optionally zoomed)."""
+    """Gauge family (0, a, b) on a three-point space (optionally zoomed).
+
+    Rows run over a, then b, as (B, 3) point-major: the transpose of a
+    C-ordered (3, B) block, one contiguous column per point.
+    """
     if center is None:
         a = np.arange(lo, hi + 0.5 * step, step)
         b = a
@@ -237,8 +257,7 @@ def _triple_potentials(step: float, lo: float = -20.0, hi: float = 20.0,
         a = np.arange(center[0] - width, center[0] + width + 0.5 * step, step)
         b = np.arange(center[1] - width, center[1] + width + 0.5 * step, step)
     aa, bb = np.meshgrid(a, b, indexing="ij")
-    out = np.column_stack([np.zeros(aa.size), aa.ravel(), bb.ravel()])
-    return out
+    return np.stack([np.zeros(aa.size), aa.ravel(), bb.ravel()]).T
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +599,34 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     is a violation witnessing that the transport inequality at constant
     1/c fails on the scanned set.
     """
+    scan = _dual_scan(alpha, space, mu, scan_step, f_bound)
+    gaps = _dual_gaps(scan, mu, level)
+    k = int(np.argmax(gaps))
+    return {
+        "level": level,
+        "max_log_gap": float(gaps[k]),
+        "violation": bool(gaps[k] > gap_tol),
+        "worst_potential": scan[0][k].copy(),  # a view would keep the grid alive
+        "gap_tol": gap_tol,
+        "n_candidates": int(scan[0].shape[0]),
+    }
+
+
+# rows per block of the mean's matrix-vector product; a power of two, so every
+# row takes the same BLAS kernel path as in one product over the whole grid
+_MEAN_BLOCK_ROWS = 1 << 12
+
+
+def _dual_scan(alpha, space, mu, scan_step, f_bound):
+    """The level-free part of the dual scan: the point-major potentials,
+    their inf-convolutions and their mu-means.
+
+    The means are row-major BLAS products of C-ordered rows, as a (B, n)
+    C grid would give them; a column-major product rounds differently in
+    the last bit.  The rows are copied a block at a time, so no second
+    full grid is made.
+    """
     costs = cost_matrix(alpha, space)
-    mu_w = mu.weights
     if space.size == 2:
         ys = _potential_grid(-f_bound, f_bound, scan_step)
         kinks = costs[0, 1] * np.array([-1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
@@ -590,39 +635,46 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
         fs = _triple_potentials(0.05, -f_bound, f_bound)
     else:
         raise ValueError("dense dual scan provided for 2- and 3-point spaces")
-    qs = _q_rows(costs, fs)
-    logmass = _logsumexp_rows(np.log(mu_w)[None, :] + level * qs)
-    gaps = logmass - level * (fs @ mu_w)
-    k = int(np.argmax(gaps))
-    return {
-        "level": level,
-        "max_log_gap": float(gaps[k]),
-        "violation": bool(gaps[k] > gap_tol),
-        "worst_potential": fs[k],
-        "gap_tol": gap_tol,
-        "n_candidates": int(fs.shape[0]),
-    }
+    means = np.concatenate([np.ascontiguousarray(fs[lo:lo + _MEAN_BLOCK_ROWS]) @ mu.weights
+                            for lo in range(0, fs.shape[0], _MEAN_BLOCK_ROWS)])
+    return fs, _q_rows(costs, fs), means
+
+
+def _dual_gaps(scan, mu: ProbMeasure, level: float) -> np.ndarray:
+    """log int e^{c Qf} dmu - c mu(f) for every potential of a dual scan."""
+    _, qs, means = scan
+    a = level * qs
+    a += np.log(mu.weights)
+    return _logsumexp_rows(a) - level * means
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True)))[:, 0]
+    """log sum_j e^{a[b, j]} for each row, with temporaries in the layout of a."""
+    m = a.max(axis=1)
+    e = a - m[:, None]
+    return m + np.log(np.exp(e, out=e).sum(axis=1))
 
 
 def largest_passing_dual_level(alpha: YoungFunction, space: FiniteMetricSpace,
                                mu: ProbMeasure, *,
                                gap_tol: float = DUAL_GAP_TOL,
                                rel_precision: float = 1e-4) -> float:
-    """Largest c whose dual check stays within the gap tolerance (bisection)."""
+    """Largest c whose dual check stays within the gap tolerance (bisection).
+
+    The potentials, their inf-convolutions and means are level-free and are
+    computed once; each level evaluates only the log-sum-exp.
+    """
+    scan = _dual_scan(alpha, space, mu, scan_step=1e-3, f_bound=20.0)  # dual_check defaults
+    violates = lambda level: _dual_gaps(scan, mu, level).max() > gap_tol
     lo, hi = 1e-10, 1.0
-    while not dual_check(alpha, space, mu, hi, gap_tol=gap_tol)["violation"]:
+    while not violates(hi):
         lo = hi
         hi *= 2.0
         if hi > 1e8:
             return lo
     while hi / lo > 1.0 + rel_precision:
         mid = math.sqrt(lo * hi)
-        if dual_check(alpha, space, mu, mid, gap_tol=gap_tol)["violation"]:
+        if violates(mid):
             hi = mid
         else:
             lo = mid
@@ -751,19 +803,29 @@ def verify_chain(alpha: YoungFunction, space: FiniteMetricSpace,
     raise ValueError(f"unknown chain direction {direction!r}")
 
 
-def _violation_ratio_tau(alpha, space, mu, lam, amax, abs_tol, scan_step=1e-3):
-    """max over scanned f of Ent / (A * defect + abs_tol)."""
-    costs = cost_matrix(alpha, space, lam)
+def _violation_ratio_tau(alpha, space, mu, scales, abs_tol, scan_step=1e-3):
+    """max over scanned f of Ent / (A * defect + abs_tol), for each
+    (lambda, A) in ``scales``: a list of (ratio, worst potential) pairs,
+    and the number of potentials scanned per pair.
+
+    The potentials form one point-major grid.  Its gauge shift, weights
+    mu e^f, masses and entropies do not depend on lambda and are computed
+    once; each (lambda, A) adds only the inf-convolution and the defect.
+    """
     if space.size == 2:
         fs = _pair_potentials(_potential_grid(-20.0, 0.0, scan_step))
     elif space.size == 3:
         fs = _triple_potentials(0.05, -20.0, 20.0)
     else:
         raise ValueError("dense chain checks provided for 2-3 point spaces")
-    ent, defect = _tau_pieces(mu.weights, costs, fs)
-    ratios = ent / (amax * defect + abs_tol)
-    k = int(np.argmax(ratios))
-    return float(ratios[k]), fs[k], fs.shape[0]
+    gauged, raw, ent = _gauge_entropy(mu.weights, fs)
+    found = []
+    for lam, amax in scales:
+        defect = _defect(cost_matrix(alpha, space, lam), gauged, raw)
+        ratios = ent / (amax * defect + abs_tol)
+        k = int(np.argmax(ratios))
+        found.append((float(ratios[k]), fs[k]))
+    return found, fs.shape[0]
 
 
 def _chain_transport_to_tau(alpha, space, mu, seed, rel_tol, abs_tol, fractions):
@@ -775,12 +837,10 @@ def _chain_transport_to_tau(alpha, space, mu, seed, rel_tol, abs_tol, fractions)
     if cstar <= 0:
         verdict = "PASS"
     else:
-        for frac in fractions:
-            lam = frac / cstar
-            amax = (1.0 + rel_tol) / (1.0 - frac)
-            ratio, wf, n_f = _violation_ratio_tau(alpha, space, mu, lam, amax,
-                                                  abs_tol)
-            total += n_f
+        scales = [(frac / cstar, (1.0 + rel_tol) / (1.0 - frac)) for frac in fractions]
+        found, n_f = _violation_ratio_tau(alpha, space, mu, scales, abs_tol)
+        total = n_f * len(fractions)
+        for frac, (ratio, wf) in zip(fractions, found):
             if ratio > worst:
                 worst, witness = ratio, {"fraction": frac, "potential": wf.tolist()}
         verdict = _verdict(worst, rel_tol)

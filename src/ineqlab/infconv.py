@@ -107,11 +107,14 @@ def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Inf-convolution values for each row of potentials (order 1).
 
     Q[b, i] = min_j (f[b, j] + c[i, j]) as a running minimum over the
-    target columns j, so every temporary has the shape of ``fs``.
+    target columns j.  The output and the one temporary have the shape and
+    the memory layout of ``fs``: point-major grids (one contiguous column
+    per point) stay point-major, so every pass runs down whole columns.
     """
-    out = fs[:, :1] + costs[:, 0]
+    out, term = np.empty_like(fs), np.empty_like(fs)
+    np.add(fs[:, :1], costs[:, 0], out=out)
     for j in range(1, fs.shape[1]):
-        np.minimum(out, fs[:, j:j + 1] + costs[:, j], out=out)
+        np.minimum(out, np.add(fs[:, j:j + 1], costs[:, j], out=term), out=out)
     return out
 
 

@@ -66,20 +66,6 @@ class TransportPlan:
     potential_target: np.ndarray = field(repr=False)
     dual_gap: float
 
-    def check(self, nu: ProbMeasure, mu: ProbMeasure, costs: np.ndarray,
-              tol: float = 1e-9) -> list[str]:
-        problems = []
-        if self.row_residual > tol or self.col_residual > tol:
-            problems.append("marginal residuals exceed tolerance")
-        if abs(float(np.sum(self.matrix * costs)) - self.cost) > tol * max(1.0, abs(self.cost)):
-            problems.append("stored cost disagrees with the plan")
-        feas = self.potential_source[:, None] + self.potential_target[None, :] - costs
-        if float(feas.max()) > tol:
-            problems.append("dual potentials infeasible")
-        if abs(self.dual_gap) > tol:
-            problems.append("duality gap exceeds tolerance")
-        return problems
-
 
 def cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
                 lam: float = 1.0) -> np.ndarray:

@@ -700,3 +700,146 @@ def test_q_rows_running_minimum_matches_full_minimum(rng):
                 full = np.min(moved[..., None, :] + costs, axis=-1)
                 assert np.array_equal(infconv.partial_q(alpha, 0.7, h, space, coord, order),
                                       np.moveaxis(full, -1, coord))
+
+
+# the row-major kernels the point-major layout replaced, kept as the oracle:
+# the new kernels must give their bits on every input layout
+
+
+def _q_rows_row_major(costs, fs):
+    out = fs[:, :1] + costs[:, 0]
+    for j in range(1, fs.shape[1]):
+        np.minimum(out, fs[:, j:j + 1] + costs[:, j], out=out)
+    return out
+
+
+def _tau_pieces_row_major(mu_w, costs, fs):
+    fs = fs - fs.max(axis=1, keepdims=True)
+    raw = mu_w[None, :] * np.exp(fs)
+    mass = raw.sum(axis=1)
+    ent = (raw * fs).sum(axis=1) - mass * np.log(mass)
+    return ent, (raw * (fs - _q_rows_row_major(costs, fs))).sum(axis=1)
+
+
+def _logsumexp_rows_row_major(a):
+    m = a.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True)))[:, 0]
+
+
+def _assert_kernels_match_row_major(mu_w, costs, fs, level):
+    rows = np.ascontiguousarray(fs)
+    q = infconv._q_rows(costs, fs)
+    assert np.array_equal(q, _q_rows_row_major(costs, rows))
+    for got, want in zip(inequalities._tau_pieces(mu_w, costs, fs),
+                         _tau_pieces_row_major(mu_w, costs, rows)):
+        assert np.array_equal(got, want)
+    a = np.log(mu_w) + level * q
+    assert np.array_equal(inequalities._logsumexp_rows(a),
+                          _logsumexp_rows_row_major(np.ascontiguousarray(a)))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 21), rows=st.integers(1, 300),
+       scale=st.sampled_from([0.1, 3.0, 40.0]))
+def test_kernels_match_row_major_oracle_on_rows(seed, n, rows, scale):
+    # the ascents' (rows, n) C-ordered calls, 8 points and more included,
+    # where numpy sums a row pairwise
+    rng = np.random.default_rng(seed)
+    costs = rng.uniform(0.0, 5.0, (n, n))
+    np.fill_diagonal(costs, 0.0)
+    mu_w = rng.dirichlet(np.ones(n))
+    fs = rng.uniform(-scale, scale, (rows, n))
+    _assert_kernels_match_row_major(mu_w, costs, fs, float(rng.uniform(1e-3, 2.0)))
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([2, 3]),
+       step=st.sampled_from([0.1, 0.25, 0.7]), zoom=st.booleans())
+def test_kernels_match_row_major_oracle_on_grids(seed, n, step, zoom):
+    rng = np.random.default_rng(seed)
+    space, mu = random_metric_space(rng, n), random_measure(rng, n)
+    costs = transport.cost_matrix(PowerYoung(3, 2), space, float(rng.uniform(0.01, 3.0)))
+    if n == 2:
+        fs = inequalities._pair_potentials(inequalities._potential_grid(-20.0, 0.0, step / 10))
+    elif zoom:
+        fs = inequalities._triple_potentials(step / 50, center=rng.uniform(-5.0, 5.0, 2),
+                                             width=0.12)
+    else:
+        fs = inequalities._triple_potentials(step, -20.0, 20.0)
+    _assert_kernels_match_row_major(mu.weights, costs, fs, float(rng.uniform(1e-3, 2.0)))
+
+
+def test_dense_grids_are_point_major(rng):
+    # one contiguous column per point: the grid builders and the kernels'
+    # outputs keep that layout, so column passes stay contiguous
+    grids = [inequalities._pair_potentials(np.linspace(-3.0, 0.0, 31)),
+             inequalities._triple_potentials(0.5, -4.0, 4.0),
+             inequalities._triple_potentials(0.01, center=(0.3, -0.2), width=0.12),
+             inequalities._dual_scan(PowerYoung(2, 2), random_metric_space(rng, 3),
+                                     random_measure(rng, 3), 1e-3, 20.0)[0]]
+    for fs in grids:
+        assert fs.flags.f_contiguous and not fs.flags.c_contiguous
+        n = fs.shape[1]
+        costs = np.ones((n, n)) - np.eye(n)
+        assert infconv._q_rows(costs, fs).flags.f_contiguous
+        gauged, raw, _ = inequalities._gauge_entropy(np.full(n, 1.0 / n), fs)
+        assert gauged.flags.f_contiguous and raw.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dual_check_matches_row_major_scan(n, rng):
+    # the whole gap vector of the point-major scan equals the row-major
+    # scan's, means from the row-major BLAS product included
+    space, mu = random_metric_space(rng, n), random_measure(rng, n)
+    alpha, level = PowerYoung(2, 2), 0.03
+    fs, qs, means = inequalities._dual_scan(alpha, space, mu, 1e-3, 20.0)
+    rows = np.ascontiguousarray(fs)
+    assert np.array_equal(means, rows @ mu.weights)
+    want = _logsumexp_rows_row_major(
+        np.log(mu.weights)[None, :]
+        + level * _q_rows_row_major(transport.cost_matrix(alpha, space), rows))
+    want -= level * (rows @ mu.weights)
+    got = inequalities._dual_gaps((fs, qs, means), mu, level)
+    assert np.array_equal(got, want)
+    out = dual_check(alpha, space, mu, level)
+    k = int(np.argmax(want))
+    assert out["max_log_gap"] == want[k]
+    assert np.array_equal(out["worst_potential"], rows[k])
+
+
+def test_dual_level_bisection_matches_dual_check_bisection(rng):
+    # the bisection on one level-free scan gives the level that bisecting
+    # with a full dual_check per level gave
+    def by_dual_check(alpha, space, mu, rel_precision):
+        lo, hi = 1e-10, 1.0
+        while not dual_check(alpha, space, mu, hi)["violation"]:
+            lo, hi = hi, hi * 2.0
+            if hi > 1e8:
+                return lo
+        while hi / lo > 1.0 + rel_precision:
+            mid = math.sqrt(lo * hi)
+            if dual_check(alpha, space, mu, mid)["violation"]:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+    for n, alpha, precision in ((2, PowerYoung(2, 2), 1e-4), (2, PowerYoung(3, 2), 1e-4),
+                                (3, PowerYoung(2, 2), 1e-2)):
+        space, mu = random_metric_space(rng, n), random_measure(rng, n)
+        assert (largest_passing_dual_level(alpha, space, mu, rel_precision=precision)
+                == by_dual_check(alpha, space, mu, precision))
+
+
+def test_scan_witnesses_own_their_data(rng):
+    # a witness row is a copy: a view would keep its whole scan grid alive
+    alpha = PowerYoung(2, 2)
+    for n in (2, 3):
+        space, mu = random_metric_space(rng, n), random_measure(rng, n)
+        assert dual_check(alpha, space, mu, 1e-3)["worst_potential"].base is None
+        ests = [tau_lsi_constant_estimate(alpha, 0.3, space, mu),
+                transport_constant_estimate(alpha, space, mu)]
+        if n == 2:
+            ests.append(mlsi_constant_estimate(alpha, space, mu))
+        for est in ests:
+            assert est.witness is not None and est.witness.base is None

@@ -65,7 +65,13 @@ class TestCrossOracles:
             reference = brute_force_cost(a, space, nu, mu)
             assert cost == pytest.approx(reference, abs=1e-9)
             assert abs(plan.dual_gap) <= 1e-9
-            assert plan.check(nu, mu, np.asarray(a(space.dist))) == []
+            # the plan itself: marginals, stored cost and dual feasibility
+            c = cost_matrix(a, space)
+            assert max(plan.row_residual, plan.col_residual) <= 1e-9
+            assert float(np.sum(plan.matrix * c)) == pytest.approx(
+                plan.cost, abs=1e-9 * max(1.0, abs(plan.cost)))
+            assert float((plan.potential_source[:, None]
+                          + plan.potential_target[None, :] - c).max()) <= 1e-9
 
     def test_scanner_matches_lp(self, rng):
         # random spaces, then tied-cost spaces (all distances 1), whose
