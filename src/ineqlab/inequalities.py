@@ -39,8 +39,9 @@ from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
     ProductSpace,
+    _entropy_vec,
+    _gauge_entropy,
     _neighbours,
-    exp_entropy,
     slope_vector,
 )
 from .search import (
@@ -138,25 +139,9 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-
-def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Relative entropies of the rows of nus against mu (full support)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(nus > 0, nus * np.log(nus / mu), 0.0)
-    return terms.sum(axis=1)
-
-
-def _gauge_entropy(mu: np.ndarray, fs: np.ndarray):
-    """Rows gauge-shifted to max 0, their weights mu e^f and Ent(e^f).
-
-    Every temporary follows the layout of ``fs``.  Row sums follow it too:
-    point-major grids (2-3 points) sum each row in point order, which is
-    the order numpy takes along a row shorter than 8 entries.
-    """
-    fs = fs - fs.max(axis=1, keepdims=True)
-    raw = mu[None, :] * np.exp(fs)
-    mass = raw.sum(axis=1)
-    return fs, raw, (raw * fs).sum(axis=1) - mass * np.log(mass)
+# potentials lie in [-bound, bound] ([-bound, 0] once gauged); 2-point grid step
+_POTENTIAL_BOUND = 20.0
+_PAIR_STEP = 1e-3
 
 
 def _defect(costs: np.ndarray, fs: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -170,9 +155,9 @@ def _tau_pieces(mu: np.ndarray, costs: np.ndarray, fs: np.ndarray):
     return ent, _defect(costs, fs, raw)
 
 
-def _gauge_clip(f_bound: float):
-    """Row-wise projection of potentials onto max f = 0, min f >= -f_bound."""
-    return lambda f: np.clip(f - f.max(axis=-1, keepdims=True), -f_bound, 0.0)
+def _gauge_clip(fs: np.ndarray) -> np.ndarray:
+    """Row-wise projection of potentials onto max f = 0, min f >= -bound."""
+    return np.clip(fs - fs.max(axis=-1, keepdims=True), -_POTENTIAL_BOUND, 0.0)
 
 
 class _Scan(NamedTuple):
@@ -209,7 +194,9 @@ def _best_ratio(num, den, ok, rows, degenerate=None) -> _Scan:
     """The row of ``rows`` with the largest num/den among the ``ok`` ones
     (the first on ties); the others count as skipped.  ``degenerate`` marks
     skipped rows that witness an infinite constant; their largest num is
-    kept."""
+    kept.  No rows at all give ratio -inf."""
+    if not rows.shape[0]:
+        return _Scan(-np.inf, None, np.nan, 0, 0)
     ratios = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
     k = int(np.argmax(ratios))
     skipped = int(np.size(ok) - np.count_nonzero(ok))
@@ -243,7 +230,7 @@ def _pair_potentials(ys: np.ndarray) -> np.ndarray:
     return np.stack([np.concatenate([z, ys]), np.concatenate([ys, z])]).T
 
 
-def _triple_potentials(step: float, lo: float = -20.0, hi: float = 20.0,
+def _triple_potentials(step: float, lo=-_POTENTIAL_BOUND, hi=_POTENTIAL_BOUND,
                        center=None, width=None) -> np.ndarray:
     """Gauge family (0, a, b) on a three-point space (optionally zoomed).
 
@@ -267,18 +254,21 @@ def _triple_potentials(step: float, lo: float = -20.0, hi: float = 20.0,
 def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                                 mu: ProbMeasure, *,
                                 entropy_floor: float = ENTROPY_FLOOR,
-                                scan_step: float = 1e-4,
                                 budget: SearchBudget | None = None,
                                 seed: int = 0,
                                 extra_sources=None,
                                 polish_iterations: int = 0) -> EstimateResult:
     """Lower bound on the best constant in cost <= C * entropy.
 
-    Dense scan (plus entropy-shell candidates) on two- and three-point
-    spaces; on larger spaces, a seeded scan of structured sources
-    (exponential tilts of mu, callers' extras, random interior points),
-    optionally followed by gradient ascent.  Sources below the entropy
-    floor are excluded and counted.
+    Entropy-shell candidates alone on two-point spaces, a dense simplex
+    grid plus the shell on three-point spaces; on larger spaces, a seeded
+    scan of structured sources (exponential tilts of mu, callers' extras,
+    random interior points), optionally followed by gradient ascent.
+    Sources below the entropy floor are excluded and counted.
+
+    On two points the shell is exhaustive: the cost alpha(d) |nu_0 - mu_0|
+    is linear and the entropy convex along the segment, zero at mu, so the
+    floored ratio is largest on the floor, at the shell's first level.
 
     The supremum over shrinking perturbations is infinite, and even at a
     fixed floor h it behaves like max_pairs alpha(d) sqrt(harmonic-mass /
@@ -306,9 +296,8 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     mu_w = mu.weights
     shell = search.pair_swap_shell(mu_w, entropy_floor)
     if n <= 3:
-        grid = (search.two_point_sources(mu_w, scan_step) if n == 2
-                else search.simplex_grid(3, max(scan_step, 2e-3)))
-        cands = np.concatenate([grid, shell])
+        cands = (shell if n == 2
+                 else np.concatenate([search.simplex_grid(3, 2e-3), shell]))
         costs = BasisScanner(alpha, space, mu).costs(cands)
         ents = _entropy_vec(cands, mu_w)
         scan = _best_ratio(costs, ents, ents >= entropy_floor, cands)
@@ -453,10 +442,8 @@ def _tilt_starts(space, mu_w):
 
 def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
                               space: FiniteMetricSpace, mu: ProbMeasure, *,
-                              scan_step: float = 1e-3,
                               budget: SearchBudget | None = None,
-                              seed: int = 0,
-                              f_bound: float = 20.0) -> EstimateResult:
+                              seed: int = 0) -> EstimateResult:
     """Lower bound on the best constant A in Ent(e^f) <= A * defect(f).
 
     The defect is the integral of (f - Q f) e^f against mu with the
@@ -465,7 +452,8 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
     with defect below 1e-14 are skipped; those among them with positive
     entropy are *degeneracy witnesses*: the inequality fails for every
     finite A (the true constant is infinite) and the returned value only
-    ranks the scanned, positively-damped candidates.
+    ranks the scanned, positively-damped candidates.  Potentials range over
+    [-20, 0] after the gauge shift, by steps of 1e-3 on two points.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -474,18 +462,16 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
     costs = cost_matrix(alpha, space, lam)
     n = space.size
     if n == 2:
-        fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
+        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
         return _tau_best(mu.weights, costs, fs).result("dense-scan-2pt")
     if n == 3:
-        coarse = _tau_best(mu.weights, costs,
-                           _triple_potentials(0.1, -f_bound, f_bound))
+        coarse = _tau_best(mu.weights, costs, _triple_potentials(0.1))
         if coarse.ratio == -np.inf:
             return coarse.result("dense-scan-3pt")
         zoomed = _triple_potentials(2e-3, center=coarse.row[1:], width=0.12)
         return coarse.merge(_tau_best(mu.weights, costs, zoomed)).result(
             "dense-scan-3pt-zoom")
-    return _tau_ascent(mu.weights, costs, n, budget or SearchBudget(), seed,
-                       f_bound)
+    return _tau_ascent(mu.weights, costs, n, budget or SearchBudget(), seed)
 
 
 def _tau_best(mu_w, costs, fs) -> _Scan:
@@ -496,7 +482,7 @@ def _tau_best(mu_w, costs, fs) -> _Scan:
     return _best_ratio(ent, defect, ~skip, fs, skip & (ent > 1e-12))
 
 
-def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
+def _tau_ascent(mu_w, costs, n, budget, seed) -> EstimateResult:
     rng = np.random.default_rng(seed)
 
     def objective(fs):
@@ -506,7 +492,7 @@ def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
 
     starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
     best, witness, evals = search.multistart_maximize(objective, starts,
-                                                      _gauge_clip(f_bound), budget)
+                                                      _gauge_clip, budget)
     return EstimateResult(max(best, 0.0), witness, evals, 0, "multistart-ascent")
 
 
@@ -517,16 +503,15 @@ def _tau_ascent(mu_w, costs, n, budget, seed, f_bound) -> EstimateResult:
 def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                            mu: ProbMeasure, sign: str = "+",
                            adjacency: list | None = None, *,
-                           scan_step: float = 1e-3,
                            budget: SearchBudget | None = None,
-                           seed: int = 0,
-                           f_bound: float = 20.0) -> EstimateResult:
+                           seed: int = 0) -> EstimateResult:
     """Lower bound on the constant in Ent(e^f) <= A int conj(|slope f|) e^f.
 
     SURROGATE: the slope modulus is the discrete (global or
     adjacency-restricted) difference quotient, not the continuum limsup,
     which vanishes identically on finite spaces.  Downstream verdicts
-    based on this estimate are capped at INCONCLUSIVE.
+    based on this estimate are capped at INCONCLUSIVE.  Potentials range
+    over [-20, 0] after the gauge shift, by steps of 1e-3 on two points.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
@@ -544,7 +529,7 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         return ent, terms.sum(axis=1)
 
     if space.size == 2:
-        fs = _pair_potentials(_potential_grid(-f_bound, 0.0, scan_step))
+        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
         ent, den = pieces(fs)
         scan = _best_ratio(ent, den, (den >= DENOM_FLOOR) & np.isfinite(den), fs)
         return scan.result("dense-scan-2pt-surrogate",
@@ -561,7 +546,7 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     starts = [rng.uniform(-2.0, 0.0, space.size) for _ in range(budget.starts)]
     starts.extend(_smooth_starts(space))
     best, witness, evals = search.multistart_maximize(objective, starts,
-                                                      _gauge_clip(f_bound), budget)
+                                                      _gauge_clip, budget)
     return EstimateResult(max(best, 0.0), witness, evals, 0,
                           "multistart-ascent-surrogate",
                           notes=("slope surrogate",))
@@ -589,17 +574,17 @@ def _smooth_starts(space):
 
 
 def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
-               level: float, *, scan_step: float = 1e-3,
-               f_bound: float = 20.0, gap_tol: float = DUAL_GAP_TOL) -> dict:
+               level: float, *, gap_tol: float = DUAL_GAP_TOL) -> dict:
     """Exponential-moment dual check at level c:
     log int e^{c Qf} dmu <= c mu(f) for all bounded f (order 1).
 
-    Scans potential families (including the inf-convolution kink offsets
-    +-alpha(d)) and reports the largest log-gap; a gap above ``gap_tol``
-    is a violation witnessing that the transport inequality at constant
-    1/c fails on the scanned set.
+    Scans potential families on [-20, 20] (by steps of 1e-3 on two points,
+    plus the inf-convolution kink offsets +-alpha(d); by 0.05 on three) and
+    reports the largest log-gap; a gap above ``gap_tol`` is a violation
+    witnessing that the transport inequality at constant 1/c fails on the
+    scanned set.
     """
-    scan = _dual_scan(alpha, space, mu, scan_step, f_bound)
+    scan = _dual_scan(alpha, space, mu)
     gaps = _dual_gaps(scan, mu, level)
     k = int(np.argmax(gaps))
     return {
@@ -612,12 +597,13 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     }
 
 
-# rows per block of the mean's matrix-vector product; a power of two, so every
-# row takes the same BLAS kernel path as in one product over the whole grid
+# rows per block of the mean's matrix-vector product and of the gaps; a power
+# of two, so every row takes the same BLAS kernel path as in one product over
+# the whole grid
 _MEAN_BLOCK_ROWS = 1 << 12
 
 
-def _dual_scan(alpha, space, mu, scan_step, f_bound):
+def _dual_scan(alpha, space, mu):
     """The level-free part of the dual scan: the point-major potentials,
     their inf-convolutions and their mu-means.
 
@@ -628,11 +614,11 @@ def _dual_scan(alpha, space, mu, scan_step, f_bound):
     """
     costs = cost_matrix(alpha, space)
     if space.size == 2:
-        ys = _potential_grid(-f_bound, f_bound, scan_step)
+        ys = _potential_grid(-_POTENTIAL_BOUND, _POTENTIAL_BOUND, _PAIR_STEP)
         kinks = costs[0, 1] * np.array([-1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
         fs = _pair_potentials(np.concatenate([ys, kinks]))
     elif space.size == 3:
-        fs = _triple_potentials(0.05, -f_bound, f_bound)
+        fs = _triple_potentials(0.05)
     else:
         raise ValueError("dense dual scan provided for 2- and 3-point spaces")
     means = np.concatenate([np.ascontiguousarray(fs[lo:lo + _MEAN_BLOCK_ROWS]) @ mu.weights
@@ -641,11 +627,20 @@ def _dual_scan(alpha, space, mu, scan_step, f_bound):
 
 
 def _dual_gaps(scan, mu: ProbMeasure, level: float) -> np.ndarray:
-    """log int e^{c Qf} dmu - c mu(f) for every potential of a dual scan."""
+    """log int e^{c Qf} dmu - c mu(f) for every potential of a dual scan.
+
+    The exponents and their log-sum-exp are taken ``_MEAN_BLOCK_ROWS`` rows
+    at a time, so only the per-row gaps outlive a block.
+    """
     _, qs, means = scan
-    a = level * qs
-    a += np.log(mu.weights)
-    return _logsumexp_rows(a) - level * means
+    log_mu = np.log(mu.weights)
+    gaps = np.empty(qs.shape[0])
+    for lo in range(0, qs.shape[0], _MEAN_BLOCK_ROWS):
+        hi = lo + _MEAN_BLOCK_ROWS
+        a = level * qs[lo:hi]
+        a += log_mu
+        gaps[lo:hi] = _logsumexp_rows(a) - level * means[lo:hi]
+    return gaps
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -664,7 +659,7 @@ def largest_passing_dual_level(alpha: YoungFunction, space: FiniteMetricSpace,
     The potentials, their inf-convolutions and means are level-free and are
     computed once; each level evaluates only the log-sum-exp.
     """
-    scan = _dual_scan(alpha, space, mu, scan_step=1e-3, f_bound=20.0)  # dual_check defaults
+    scan = _dual_scan(alpha, space, mu)
     violates = lambda level: _dual_gaps(scan, mu, level).max() > gap_tol
     lo, hi = 1e-10, 1.0
     while not violates(hi):
@@ -803,7 +798,7 @@ def verify_chain(alpha: YoungFunction, space: FiniteMetricSpace,
     raise ValueError(f"unknown chain direction {direction!r}")
 
 
-def _violation_ratio_tau(alpha, space, mu, scales, abs_tol, scan_step=1e-3):
+def _violation_ratio_tau(alpha, space, mu, scales, abs_tol):
     """max over scanned f of Ent / (A * defect + abs_tol), for each
     (lambda, A) in ``scales``: a list of (ratio, worst potential) pairs,
     and the number of potentials scanned per pair.
@@ -813,9 +808,9 @@ def _violation_ratio_tau(alpha, space, mu, scales, abs_tol, scan_step=1e-3):
     once; each (lambda, A) adds only the inf-convolution and the defect.
     """
     if space.size == 2:
-        fs = _pair_potentials(_potential_grid(-20.0, 0.0, scan_step))
+        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
     elif space.size == 3:
-        fs = _triple_potentials(0.05, -20.0, 20.0)
+        fs = _triple_potentials(0.05)
     else:
         raise ValueError("dense chain checks provided for 2-3 point spaces")
     gauged, raw, ent = _gauge_entropy(mu.weights, fs)
@@ -871,16 +866,10 @@ def _zero_defect_entropy(alpha, lam, space, mu):
     c = lam * float(alpha(space.min_distance())) * (1.0 - 1e-12)
     if c <= 0:
         return 0.0
-    best = 0.0
-    costs = cost_matrix(alpha, space, lam)
-    for i in range(space.size):
-        f = np.zeros(space.size)
-        f[i] = -c
-        qf = _q_rows(costs, f[None, :])[0]
-        if float(np.max(np.abs(f - qf))) > 0.0:
-            continue
-        best = max(best, exp_entropy(mu, f))
-    return best
+    dips = np.diag(np.full(space.size, -c))  # row i dips at point i
+    untouched = np.all(_q_rows(cost_matrix(alpha, space, lam), dips) == dips, axis=1)
+    _, _, ents = _gauge_entropy(mu.weights, dips)
+    return float(ents[untouched].max(initial=0.0))
 
 
 def _chain_tau_to_transport(alpha, space, mu, seed, rel_tol, abs_tol, lam,

@@ -3,8 +3,9 @@
 Two regimes, both returning certified *lower* bounds (a supremum is only
 ever approached from below by evaluation):
 
-* dense scans over explicit candidate grids, effectively exhaustive on
-  two- and three-point spaces, plus a batched shell of entropy-pinned swaps;
+* dense scans: a batched shell of entropy-pinned two-atom swaps, which is
+  exhaustive for the floored transport supremum on two-point spaces, plus
+  an explicit simplex grid on three-point spaces;
 * seeded multistart projected ascent with finite-difference (or supplied)
   gradients, step halving, and a row-wise projection such as the
   simplex-interior clamp; all starts form one array state advanced in
@@ -32,7 +33,6 @@ __all__ = [
     "DENOM_FLOOR",
     "SearchBudget",
     "simplex_grid",
-    "two_point_sources",
     "pair_swap_shell",
     "dirichlet_starts",
     "multistart_maximize",
@@ -61,26 +61,15 @@ class SearchBudget:
 
 
 def simplex_grid(k: int, step: float, clamp: float = 1e-9) -> np.ndarray:
-    """Uniform grid over the interior of the probability simplex (k <= 3)."""
-    if k == 2:
-        s = np.arange(step, 1.0, step)
-        return np.column_stack([s, 1.0 - s])
-    if k == 3:
-        a = np.arange(step, 1.0, step)
-        w0, w1 = np.meshgrid(a, a, indexing="ij")
-        mask = w0 + w1 < 1.0 - clamp
-        w0, w1 = w0[mask], w1[mask]
-        return np.column_stack([w0, w1, 1.0 - w0 - w1])
-    raise ValueError("simplex grids provided for 2 or 3 points only")
-
-
-def two_point_sources(mu: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Signed-perturbation family (mu0 + s, mu1 - s) on a two-point space."""
-    smax = min(mu[0], mu[1])
-    s = np.arange(step, smax, step)
-    s = np.concatenate([s, -s])
-    out = np.column_stack([mu[0] + s, mu[1] - s])
-    return out[(out > 0).all(axis=1)]
+    """Uniform grid over the interior of the probability simplex (k = 3);
+    two points need none, :func:`pair_swap_shell` rows being exhaustive."""
+    if k != 3:
+        raise ValueError("simplex grids provided for 3 points only")
+    a = np.arange(step, 1.0, step)
+    w0, w1 = np.meshgrid(a, a, indexing="ij")
+    mask = w0 + w1 < 1.0 - clamp
+    w0, w1 = w0[mask], w1[mask]
+    return np.column_stack([w0, w1, 1.0 - w0 - w1])
 
 
 def pair_swap_shell(mu: np.ndarray, floor: float,

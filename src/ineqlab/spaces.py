@@ -289,15 +289,33 @@ def _eval_density(text: str, x: np.ndarray):
 # entropies
 
 
+def _entropy_vec(nus: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Relative entropies of the rows of nus against mu: sum nu log(nu/mu)
+    over nu > 0, +oo where some nu > 0 sits on mu = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(nus > 0, nus * np.log(nus / mu), 0.0)
+    return terms.sum(axis=1)
+
+
+def _gauge_entropy(mu: np.ndarray, fs: np.ndarray):
+    """Rows gauge-shifted to max 0, their weights mu e^f and Ent(e^f).
+
+    Every temporary follows the layout of ``fs``.  Row sums follow it too:
+    point-major grids (2-3 points) sum each row in point order, which is
+    the order numpy takes along a row shorter than 8 entries.
+    """
+    fs = fs - fs.max(axis=1, keepdims=True)
+    raw = mu[None, :] * np.exp(fs)
+    mass = raw.sum(axis=1)
+    return fs, raw, (raw * fs).sum(axis=1) - mass * np.log(mass)
+
+
 def relative_entropy(nu: ProbMeasure, mu: ProbMeasure) -> float:
     """KL divergence sum nu log(nu/mu); +oo off absolute continuity."""
     n, m = nu.weights, mu.weights
     if n.shape != m.shape:
         raise ValueError("measures live on different spaces")
-    mask = n > 0.0
-    if np.any(m[mask] == 0.0):
-        return math.inf
-    return float(np.sum(n[mask] * np.log(n[mask] / m[mask])))
+    return float(_entropy_vec(n[None, :], m)[0])
 
 
 def exp_entropy(mu, f) -> float:
@@ -311,12 +329,8 @@ def exp_entropy(mu, f) -> float:
     f = np.asarray(f, dtype=float)
     if w.shape != f.shape:
         raise ValueError("weights and potential have different shapes")
-    m = float(f.max())
-    g = f - m
-    eg = np.exp(g)
-    z = float(np.sum(w * eg))
-    ent_shifted = float(np.sum(w * eg * g)) - z * math.log(z)
-    return math.exp(m) * ent_shifted
+    _, _, ent = _gauge_entropy(w.ravel(), f.reshape(1, -1))
+    return math.exp(float(f.max())) * float(ent[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import random_measure, random_metric_space
 from ineqlab.inequalities import (
-    _entropy_vec,
     _tau_pieces,
     concentration_check,
     dual_check,
@@ -26,6 +25,8 @@ from ineqlab import inequalities, infconv, search, transport
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     ProbMeasure,
+    _entropy_vec,
+    _gauge_entropy,
     cycle_space,
     exp_entropy,
     grid1d_space,
@@ -69,6 +70,47 @@ class TestTransportEstimate:
         mu = ProbMeasure(np.array([0.5, 0.5, 0.0]))
         est = transport_constant_estimate(PowerYoung(2, 2), space, mu)
         assert est.value > 0.0  # runs on the two-point support
+
+
+def _two_point_sources(mu, step=1e-4):
+    """The signed-perturbation family (mu0 + s, mu1 - s) the two-point
+    transport scan once priced beside the shell; kept as the oracle."""
+    smax = min(mu[0], mu[1])
+    s = np.arange(step, smax, step)
+    s = np.concatenate([s, -s])
+    out = np.column_stack([mu[0] + s, mu[1] - s])
+    return out[(out > 0).all(axis=1)]
+
+
+@settings(max_examples=40)
+@given(d=st.floats(0.2, 3.0), m=st.floats(0.02, 0.98),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]),
+       floor=st.sampled_from([4e-6, 1e-3, 0.05]))
+def test_two_point_shell_is_enough(d, m, pair, floor):
+    # on two points the cost alpha(d) |nu_0 - mu_0| is linear in the
+    # perturbation and the entropy convex with a zero at mu, so no floored
+    # perturbation beats the shell's first level (1.0000001 * floor) by more
+    # than that level's 1e-7
+    alpha = PowerYoung(*pair)
+    mu = ProbMeasure(np.array([m, 1.0 - m]))
+    est = transport_constant_estimate(alpha, two_point_space(d), mu,
+                                      entropy_floor=floor)
+    assert est.n_candidates == search.pair_swap_shell(mu.weights, floor).shape[0]
+    assert est.n_excluded == 0
+    rows = _two_point_sources(mu.weights)
+    ents = _entropy_vec(rows, mu.weights)
+    above = ents >= floor
+    ratios = float(alpha(d)) * np.abs(rows[above, 0] - m) / ents[above]
+    assert ratios.max(initial=0.0) <= est.value * (1.0 + 1e-7) * (1.0 + 1e-12)
+
+
+def test_two_point_floor_beyond_every_swap():
+    # no two-atom swap of the uniform measure reaches entropy log 2: nothing
+    # is scanned and the estimate is empty
+    est = transport_constant_estimate(PowerYoung(2, 2), two_point_space(1.0),
+                                      ProbMeasure.uniform(2), entropy_floor=1.0)
+    assert (est.value, est.witness, est.n_candidates, est.n_excluded) == (0.0, None, 0, 0)
+    assert est.notes == ("no candidate above the entropy floor",)
 
 
 def _rank_all_lp_scan(alpha, space, mu, floor, starts, objective):
@@ -387,10 +429,37 @@ class TestHolleyStroock:
 def test_entropy_kernel_matches_reference(rng):
     mu = random_measure(rng, 5)
     nus = np.array([random_measure(rng, 5).weights for _ in range(20)])
+    nus[:3, 1] = 0.0  # rows with a zero weight, where the kernel masks the term
+    nus[:3] /= nus[:3].sum(axis=1, keepdims=True)
     batch = _entropy_vec(nus, mu.weights)
     for row, got in zip(nus, batch):
-        assert got == pytest.approx(
-            relative_entropy(ProbMeasure(row), mu), rel=1e-12)
+        # the oracle: sum nu log(nu/mu) over nu > 0, one scalar term at a time
+        want = math.fsum(a * math.log(a / b) for a, b in zip(row, mu.weights) if a > 0)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert relative_entropy(ProbMeasure(row), mu) == got
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**16), n=st.integers(2, 9),
+       lam=st.sampled_from([1e-3, 0.3, 1.0, 5.0]),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]))
+def test_zero_defect_entropy_matches_per_dip_loop(seed, n, lam, pair):
+    # the batched probe against one dip at a time: a dip -c at point i is a
+    # witness when the inf-convolution leaves it unchanged, and the probe is
+    # the largest witness entropy
+    rng = np.random.default_rng(seed)
+    space, mu = random_metric_space(rng, n, min_sep=0.1), random_measure(rng, n)
+    alpha = PowerYoung(*pair)
+    c = lam * float(alpha(space.min_distance())) * (1.0 - 1e-12)
+    costs = transport.cost_matrix(alpha, space, lam)
+    want = 0.0
+    for i in range(n):
+        f = np.zeros(n)
+        f[i] = -c
+        if np.array_equal(np.min(f[None, :] + costs, axis=1), f):
+            want = max(want, exp_entropy(mu, f))
+    got = inequalities._zero_defect_entropy(alpha, lam, space, mu)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestLargerSpaces:
@@ -776,13 +845,13 @@ def test_dense_grids_are_point_major(rng):
              inequalities._triple_potentials(0.5, -4.0, 4.0),
              inequalities._triple_potentials(0.01, center=(0.3, -0.2), width=0.12),
              inequalities._dual_scan(PowerYoung(2, 2), random_metric_space(rng, 3),
-                                     random_measure(rng, 3), 1e-3, 20.0)[0]]
+                                     random_measure(rng, 3))[0]]
     for fs in grids:
         assert fs.flags.f_contiguous and not fs.flags.c_contiguous
         n = fs.shape[1]
         costs = np.ones((n, n)) - np.eye(n)
         assert infconv._q_rows(costs, fs).flags.f_contiguous
-        gauged, raw, _ = inequalities._gauge_entropy(np.full(n, 1.0 / n), fs)
+        gauged, raw, _ = _gauge_entropy(np.full(n, 1.0 / n), fs)
         assert gauged.flags.f_contiguous and raw.flags.f_contiguous
 
 
@@ -792,7 +861,7 @@ def test_dual_check_matches_row_major_scan(n, rng):
     # scan's, means from the row-major BLAS product included
     space, mu = random_metric_space(rng, n), random_measure(rng, n)
     alpha, level = PowerYoung(2, 2), 0.03
-    fs, qs, means = inequalities._dual_scan(alpha, space, mu, 1e-3, 20.0)
+    fs, qs, means = inequalities._dual_scan(alpha, space, mu)
     rows = np.ascontiguousarray(fs)
     assert np.array_equal(means, rows @ mu.weights)
     want = _logsumexp_rows_row_major(
@@ -805,6 +874,20 @@ def test_dual_check_matches_row_major_scan(n, rng):
     k = int(np.argmax(want))
     assert out["max_log_gap"] == want[k]
     assert np.array_equal(out["worst_potential"], rows[k])
+
+
+def test_three_point_dual_check_memory(rng):
+    # the gaps are taken a block of rows at a time, so the check no longer
+    # holds four full (641,601 x 3) grids at once (78 MiB); the grid and its
+    # inf-convolution are 14.7 MiB each
+    space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
+    tracemalloc.start()
+    try:
+        dual_check(PowerYoung(2, 2), space, mu, 0.03)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20
 
 
 def test_dual_level_bisection_matches_dual_check_bisection(rng):

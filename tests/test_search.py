@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ineqlab import search
-from ineqlab.inequalities import _entropy_vec
 from ineqlab.search import SearchBudget, pair_swap_shell, project_simplex_interior
+from ineqlab.spaces import _entropy_vec
 
 LEVELS = (1.0000001, 2.0, 10.0)
 

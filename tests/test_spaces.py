@@ -94,6 +94,10 @@ class TestRelativeEntropy:
         assert relative_entropy(ProbMeasure.dirac(2, 0),
                                 ProbMeasure.dirac(2, 1)) == math.inf
 
+    def test_different_spaces(self):
+        with pytest.raises(ValueError):
+            relative_entropy(ProbMeasure.uniform(2), ProbMeasure.uniform(3))
+
     def test_nonnegative_random(self, rng):
         for _ in range(1000):
             n = int(rng.integers(2, 6))
@@ -132,6 +136,15 @@ class TestExpEntropy:
         f = r.normal(size=4)
         assert exp_entropy(mu, f + c) == pytest.approx(
             math.exp(c) * exp_entropy(mu, f), rel=1e-9, abs=1e-12)
+
+    def test_product_weights(self, rng):
+        # a weight array and a potential of the same shape, as on products
+        w = np.multiply.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4)))
+        f = rng.normal(size=(3, 4))
+        assert exp_entropy(w, f) == pytest.approx(
+            exp_entropy(ProbMeasure(w.ravel()), f.ravel()), rel=1e-12)
+        with pytest.raises(ValueError):
+            exp_entropy(w, f.T)
 
     def test_jensen_nonnegative(self, rng):
         for _ in range(200):
