@@ -255,16 +255,17 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                                 mu: ProbMeasure, *,
                                 entropy_floor: float = ENTROPY_FLOOR,
                                 budget: SearchBudget | None = None,
-                                seed: int = 0,
-                                extra_sources=None,
-                                polish_iterations: int = 0) -> EstimateResult:
+                                seed: int = 0) -> EstimateResult:
     """Lower bound on the best constant in cost <= C * entropy.
 
     Entropy-shell candidates alone on two-point spaces, a dense simplex
-    grid plus the shell on three-point spaces; on larger spaces, a seeded
-    scan of structured sources (exponential tilts of mu, callers' extras,
-    random interior points), optionally followed by gradient ascent.
-    Sources below the entropy floor are excluded and counted.
+    grid plus the shell on three-point spaces.  Larger spaces start from
+    structured sources (exponential tilts of mu, then seeded Dirichlet
+    points): on four and five points a multistart ascent runs from them and
+    from the shell rows, priced by :class:`ineqlab.transport.BasisScanner`;
+    above five points the starts themselves are scanned by certified LP.
+    Sources below the entropy floor are excluded; the dense scans of two
+    and three points also count them.
 
     On two points the shell is exhaustive: the cost alpha(d) |nu_0 - mu_0|
     is linear and the entropy convex along the segment, zero at mu, so the
@@ -273,18 +274,18 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     The supremum over shrinking perturbations is infinite, and even at a
     fixed floor h it behaves like max_pairs alpha(d) sqrt(harmonic-mass /
     (2h)) along two-atom swaps, which dwarfs the smooth-family values on
-    fine grids.  Tiny spaces scan those swaps explicitly (entropy-shell
-    candidates), so their constants are floor-capped by construction; on
-    larger spaces ``polish_iterations`` ascent steps would drift toward
-    the same divergent family, so polish is off by default and the
-    estimate then characterizes the structured candidate set.
+    fine grids.  Up to five points the shell scans those swaps explicitly,
+    so the constants are floor-capped by construction.  Above five points
+    every evaluation is a linear program, and an ascent from the starts
+    would drift toward the same divergent family at an LP per probe, so
+    there is none: the estimate characterizes the structured candidate set.
 
     The entropy shell (closed form, one batched bisection; see
     :func:`ineqlab.search.pair_swap_shell`) is built once per estimate.
-    Above five points every evaluation is a certified LP, so the structured
-    starts are visited best north-west-corner bound first and the LP runs
-    only for those whose bound can still beat the best certified ratio;
-    the value and witness are those of solving every start.
+    Above five points the starts are visited best north-west-corner bound
+    first and the LP runs only for those whose bound can still beat the
+    best certified ratio; the value and witness are those of solving every
+    start.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac",
@@ -297,7 +298,7 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     shell = search.pair_swap_shell(mu_w, entropy_floor)
     if n <= 3:
         cands = (shell if n == 2
-                 else np.concatenate([search.simplex_grid(3, 2e-3), shell]))
+                 else np.concatenate([search.simplex_grid(2e-3), shell]))
         costs = BasisScanner(alpha, space, mu).costs(cands)
         ents = _entropy_vec(cands, mu_w)
         scan = _best_ratio(costs, ents, ents >= entropy_floor, cands)
@@ -309,9 +310,20 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
         else:
             notes = ()
         return scan.result(f"dense-scan-{n}pt", notes)
-    return _transport_ascent(alpha, space, mu, entropy_floor, shell,
-                             budget or SearchBudget(), seed, extra_sources,
-                             polish_iterations)
+    budget = budget or SearchBudget()
+    starts = list(_tilt_starts(space, mu_w))
+    starts.extend(search.dirichlet_starts(np.random.default_rng(seed), n,
+                                          budget.starts))
+    if n > 5:
+        best, k = _pruned_lp_scan(alpha, space, mu, entropy_floor, starts)
+        return EstimateResult(max(best, 0.0), np.asarray(starts[k]), len(starts),
+                              0, "structured-scan-lp",
+                              notes=(f"{len(starts)} starts",))
+    starts.extend(shell)
+    best, witness, evals = _transport_ascent(alpha, space, mu, entropy_floor,
+                                             starts, budget)
+    return EstimateResult(max(best, 0.0), witness, evals, 0,
+                          "multistart-ascent-scan", notes=(f"{len(starts)} starts",))
 
 
 def _restrict(space, mu, idx):
@@ -321,76 +333,25 @@ def _restrict(space, mu, idx):
     return sub, ProbMeasure(mu.weights[idx] / mu.weights[idx].sum())
 
 
-def _transport_ascent(alpha, space, mu, floor, shell, budget, seed,
-                      extra_sources, polish_iterations=0):
-    n = space.size
+def _transport_ascent(alpha, space, mu, floor, starts, budget):
+    """Multistart ascent of cost / entropy from ``starts``, every source
+    priced by one dual-vertex table (four and five points)."""
     mu_w = mu.weights
-    rng = np.random.default_rng(seed)
-    use_lp = n > 5
-    scanner = None if use_lp else BasisScanner(alpha, space, mu)
-
-    cost_cache: dict = {}
-
-    def solve(nu):
-        key = nu.tobytes()
-        if key not in cost_cache:
-            cost_cache[key] = optimal_cost(alpha, space, ProbMeasure(nu), mu)
-        return cost_cache[key]
-
-    def transport_cost_rows(nus):
-        if scanner is not None:
-            return scanner.costs(nus)
-        return np.array([solve(row)[0] for row in nus])
+    scanner = BasisScanner(alpha, space, mu)
 
     def objective(nus):
         ents = _entropy_vec(nus, mu_w)
         vals = np.full(nus.shape[0], -np.inf)
         ok = ents >= floor
         if np.any(ok):
-            vals[ok] = transport_cost_rows(nus[ok]) / ents[ok]
+            vals[ok] = scanner.costs(nus[ok]) / ents[ok]
         return vals
 
-    def gradient(nu):
-        # envelope theorem: the source-side potential is the cost gradient
-        cost, plan = solve(nu)
-        h = float(_entropy_vec(nu[None, :], mu_w)[0])
-        dh = np.log(nu / mu_w) + 1.0
-        return (plan.potential_source * h - cost * dh) / h**2
-
-    starts = list(_tilt_starts(space, mu_w))
-    if extra_sources is not None:
-        starts.extend(np.asarray(s, dtype=float) for s in extra_sources)
-    starts.extend(search.dirichlet_starts(rng, n, budget.starts))
     project = lambda x: search.project_simplex_interior(x, budget.clamp)
-    if not use_lp:
-        starts.extend(shell)
-        best, witness, evals = search.multistart_maximize(
-            objective, starts, project, budget)
-        return EstimateResult(max(best, 0.0), witness, evals, 0,
-                              "multistart-ascent-scan",
-                              notes=(f"{len(starts)} starts",))
-    # each evaluation is a full linear program: solve only the starts whose
-    # north-west-corner bound can still win, then (opt-in) polish the best
-    # with the analytic dual-potential gradient
-    best, k = _pruned_lp_scan(alpha, space, mu, floor, starts, objective)
-    witness = np.asarray(starts[k])
-    evals = len(starts)
-    method = "structured-scan-lp"
-    if polish_iterations > 0:
-        polish = SearchBudget(starts=1, iterations=polish_iterations,
-                              fd_step=budget.fd_step, clamp=budget.clamp,
-                              initial_step=budget.initial_step)
-        val, wit, ev = search.multistart_maximize(objective, [witness], project,
-                                                  polish, gradient=gradient)
-        evals += ev
-        method = "structured-scan-lp+dual-gradient-polish"
-        if val > best:
-            best, witness = val, wit
-    return EstimateResult(max(best, 0.0), witness, evals, 0, method,
-                          notes=(f"{len(starts)} starts",))
+    return search.multistart_maximize(objective, starts, project, budget)
 
 
-def _pruned_lp_scan(alpha, space, mu, floor, starts, objective):
+def _pruned_lp_scan(alpha, space, mu, floor, starts):
     """Best start by certified LP ratio, with the LP skipped where it cannot win.
 
     Starts are visited in descending north-west-corner bound ratio.  A start
@@ -416,7 +377,7 @@ def _pruned_lp_scan(alpha, space, mu, floor, starts, objective):
         if reach[i] < best:
             continue
         k = int(above[i])
-        val = float(objective(nus[k][None, :])[0])
+        val = float(optimal_cost(alpha, space, ProbMeasure(nus[k]), mu)[0] / h[i])
         if val > best or (val == best and k < best_k):
             best, best_k = val, k
     return best, best_k
@@ -597,9 +558,9 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     }
 
 
-# rows per block of the mean's matrix-vector product and of the gaps; a power
-# of two, so every row takes the same BLAS kernel path as in one product over
-# the whole grid
+# rows per block of the mean's matrix-vector product, the inf-convolution and
+# the gaps; a power of two, so every row takes the same BLAS kernel path as in
+# one product over the whole grid
 _MEAN_BLOCK_ROWS = 1 << 12
 
 
@@ -609,8 +570,9 @@ def _dual_scan(alpha, space, mu):
 
     The means are row-major BLAS products of C-ordered rows, as a (B, n)
     C grid would give them; a column-major product rounds differently in
-    the last bit.  The rows are copied a block at a time, so no second
-    full grid is made.
+    the last bit.  The rows are copied, and their inf-convolutions taken,
+    a block at a time into preallocated outputs, so no second full grid
+    and no full-grid temporary is made.
     """
     costs = cost_matrix(alpha, space)
     if space.size == 2:
@@ -621,9 +583,12 @@ def _dual_scan(alpha, space, mu):
         fs = _triple_potentials(0.05)
     else:
         raise ValueError("dense dual scan provided for 2- and 3-point spaces")
-    means = np.concatenate([np.ascontiguousarray(fs[lo:lo + _MEAN_BLOCK_ROWS]) @ mu.weights
-                            for lo in range(0, fs.shape[0], _MEAN_BLOCK_ROWS)])
-    return fs, _q_rows(costs, fs), means
+    qs, means = np.empty_like(fs), np.empty(fs.shape[0])
+    for lo in range(0, fs.shape[0], _MEAN_BLOCK_ROWS):
+        block = fs[lo:lo + _MEAN_BLOCK_ROWS]
+        means[lo:lo + _MEAN_BLOCK_ROWS] = np.ascontiguousarray(block) @ mu.weights
+        qs[lo:lo + _MEAN_BLOCK_ROWS] = _q_rows(costs, block)
+    return fs, qs, means
 
 
 def _dual_gaps(scan, mu: ProbMeasure, level: float) -> np.ndarray:

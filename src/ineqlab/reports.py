@@ -1,9 +1,11 @@
 """Report serialization: versioned JSON (machine) and aligned text (human).
 
-Reports embed the fully resolved configuration, the seed, budgets and
-tolerances; two runs with the same configuration and seed produce
-byte-identical JSON apart from the timestamp field.  Files are written
-atomically (temp file + rename).
+Reports embed the resolved configuration (the config file merged with the
+command-line options) and the seed; verification results carry their own
+tolerances.  No search budget is recorded: the CLI always runs the default
+:class:`ineqlab.search.SearchBudget`.  Two runs with the same configuration
+and seed produce byte-identical JSON apart from the timestamp field.  Files
+are written atomically (temp file + rename).
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ ever approached from below by evaluation):
 * dense scans: a batched shell of entropy-pinned two-atom swaps, which is
   exhaustive for the floored transport supremum on two-point spaces, plus
   an explicit simplex grid on three-point spaces;
-* seeded multistart projected ascent with finite-difference (or supplied)
-  gradients, step halving, and a row-wise projection such as the
-  simplex-interior clamp; all starts form one array state advanced in
-  lock-step, with one batched objective call per round.
+* seeded multistart projected ascent with finite-difference gradients,
+  step halving, and a row-wise projection such as the simplex-interior
+  clamp; all starts form one array state advanced in lock-step, with one
+  batched objective call per round.
 
 Degeneracy handling: on a finite space the entropy of a small perturbation
 of mu is quadratic in its size while the transport cost is linear, so the
@@ -51,7 +51,8 @@ _CALL_BLOCK_BYTES = 1 << 22
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Reproducible optimizer budget (embedded in reports)."""
+    """Reproducible budget of one multistart ascent: starts, iterations and
+    step sizes.  Reports do not record it; the CLI always runs the defaults."""
 
     starts: int = 50
     iterations: int = 500
@@ -60,14 +61,12 @@ class SearchBudget:
     initial_step: float = 0.05
 
 
-def simplex_grid(k: int, step: float, clamp: float = 1e-9) -> np.ndarray:
-    """Uniform grid over the interior of the probability simplex (k = 3);
+def simplex_grid(step: float) -> np.ndarray:
+    """Uniform grid over the interior of the three-point probability simplex;
     two points need none, :func:`pair_swap_shell` rows being exhaustive."""
-    if k != 3:
-        raise ValueError("simplex grids provided for 3 points only")
     a = np.arange(step, 1.0, step)
     w0, w1 = np.meshgrid(a, a, indexing="ij")
-    mask = w0 + w1 < 1.0 - clamp
+    mask = w0 + w1 < 1.0 - 1e-9  # the third weight stays positive
     w0, w1 = w0[mask], w1[mask]
     return np.column_stack([w0, w1, 1.0 - w0 - w1])
 
@@ -129,26 +128,22 @@ def _evaluate(objective, rows):
                            for lo in range(0, rows.shape[0], block)])
 
 
-def multistart_maximize(objective, starts, project, budget: SearchBudget,
-                        gradient=None):
+def multistart_maximize(objective, starts, project, budget: SearchBudget):
     """Projected ascent from each start; returns (best value, best point, evals).
 
     ``objective`` maps a batch (rows, n) to values, with -inf marking
     excluded candidates, and ``project`` maps a batch (rows, n) row by row
-    onto the feasible set.  ``gradient``, when given, maps one point (n,)
-    to the ascent direction in place of the forward-difference estimate
-    (used where a single evaluation is expensive but its gradient is
-    analytically available).
+    onto the feasible set.
 
     A start evaluates its projected start point, then iterates: a gradient
     (n forward-difference probes at ``fd_step`` with non-finite entries
-    zeroed, or one ``gradient`` call), centred to stay tangent to the mass
-    constraint, then a line search along the normalized gradient that
-    accepts the first candidate beating the current value by 1e-15.  The
-    step grows by 1.3 on acceptance and halves on each rejection.  A start
-    stops at a non-finite first value, a gradient norm below 1e-14, a step
-    at or below 1e-12, or after ``budget.iterations`` iterations.  Accepted
-    moves strictly raise the value, so a start's last point is its best.
+    zeroed), centred to stay tangent to the mass constraint, then a line
+    search along the normalized gradient that accepts the first candidate
+    beating the current value by 1e-15.  The step grows by 1.3 on
+    acceptance and halves on each rejection.  A start stops at a
+    non-finite first value, a gradient norm below 1e-14, a step at or
+    below 1e-12, or after ``budget.iterations`` iterations.  Accepted moves
+    strictly raise the value, so a start's last point is its best.
 
     All starts form one array state advanced in lock-step: each round makes
     one objective call holding, in start order, the rows every live start
@@ -165,32 +160,19 @@ def multistart_maximize(objective, starts, project, budget: SearchBudget,
     count, n = x.shape
     fx = _evaluate(objective, x)
     found = np.isfinite(fx)
-    n_evals = count  # every evaluated row and every gradient call
+    n_evals = count  # every evaluated row
     step = np.full(count, budget.initial_step)
     iters = np.zeros(count, dtype=np.int64)
     grad, norm = np.zeros((count, n)), np.ones(count)
     probing = np.zeros(count, dtype=bool)    # awaiting probe values
     searching = np.zeros(count, dtype=bool)  # awaiting a line-search value
     begin = found.copy()                     # starting an iteration
-    fresh = np.zeros(count, dtype=bool)      # holding an uncentred gradient
     probe_step = budget.fd_step * np.eye(n)
     offsets = np.arange(n)
     while True:
         begin &= iters < budget.iterations
         iters[begin] += 1
-        if gradient is None:
-            probing |= begin
-        elif begin.any():
-            b = np.flatnonzero(begin)
-            grad[b] = [gradient(x[i].copy()) for i in b]
-            n_evals += b.size
-            fresh |= begin
-        f = np.flatnonzero(fresh)
-        g = grad[f]
-        g = g - g.mean(axis=1, keepdims=True)  # tangent to the mass constraint
-        # the stacked matmul is the same ddot as np.linalg.norm of one row
-        grad[f], norm[f] = g, np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
-        searching[f[~(norm[f] < 1e-14) & (step[f] > 1e-12)]] = True
+        probing |= begin
         live = np.flatnonzero(probing | searching)
         if not live.size:
             break
@@ -208,10 +190,11 @@ def multistart_maximize(objective, starts, project, budget: SearchBudget,
 
         g = (vals[probe_rows].reshape(-1, n) - fx[p, None]) / budget.fd_step
         g[~np.isfinite(g)] = 0.0
-        grad[p] = g
+        g = g - g.mean(axis=1, keepdims=True)  # tangent to the mass constraint
+        # the stacked matmul is the same ddot as np.linalg.norm of one row
+        grad[p], norm[p] = g, np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         probing[p] = False
-        fresh = np.zeros(count, dtype=bool)
-        fresh[p] = True
+        searching[p[(norm[p] >= 1e-14) & (step[p] > 1e-12)]] = True
 
         fc = vals[first[~on_probe]]
         up = np.isfinite(fc) & (fc > fx[s] + 1e-15)

@@ -48,6 +48,9 @@ _DUAL_GAP_TOL = 1e-9
 # largest reduced-cost violation a tree's potentials may have and still
 # count as a dual vertex (the excess is subtracted, so values stay bounds)
 _DUAL_FEAS_TOL = 1e-10
+# most negative flow a spanning tree's basic solution may carry and still
+# count as feasible in brute_force_cost
+_TREE_FEAS_TOL = 1e-10
 
 
 class SolverFailure(RuntimeError):
@@ -213,8 +216,7 @@ def _tree_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
-                     nu: ProbMeasure, mu: ProbMeasure,
-                     feas_tol: float = 1e-10) -> float:
+                     nu: ProbMeasure, mu: ProbMeasure) -> float:
     """Exact optimum as the minimum over basic feasible solutions.
 
     Every vertex of the transport polytope is the flow of some spanning
@@ -229,7 +231,7 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     b = np.concatenate([nu.weights, mu.weights])[: 2 * n - 1]
     flows = _tree_solvers(n) @ b  # (T, E)
     edge_costs = costs[_tree_edges(n)]
-    feasible = np.all(flows >= -feas_tol, axis=1)
+    feasible = np.all(flows >= -_TREE_FEAS_TOL, axis=1)
     if not np.any(feasible):
         raise SolverFailure("no feasible basic solution (invalid marginals?)")
     vals = (flows * edge_costs).sum(axis=1)

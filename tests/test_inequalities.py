@@ -24,6 +24,7 @@ from ineqlab.inequalities import (
 from ineqlab import inequalities, infconv, search, transport
 from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
+    FiniteMetricSpace,
     ProbMeasure,
     _entropy_vec,
     _gauge_entropy,
@@ -113,13 +114,30 @@ def test_two_point_floor_beyond_every_swap():
     assert est.notes == ("no candidate above the entropy floor",)
 
 
-def _rank_all_lp_scan(alpha, space, mu, floor, starts, objective):
-    """The exhaustive scan the pruned one replaces: one LP per start, then a
-    stable descending sort, so ties go to the earliest start."""
-    ranked = [(float(objective(np.asarray(s)[None, :])[0]), k)
-              for k, s in enumerate(starts)]
+def _rank_all_lp_scan(alpha, space, mu, floor, starts):
+    """The exhaustive scan the pruned one replaces: one LP per start above
+    the floor (-inf below it), then a stable descending sort, so ties go to
+    the earliest start."""
+    ranked = []
+    for k, s in enumerate(starts):
+        nu = np.asarray(s, dtype=float)
+        h = float(_entropy_vec(nu[None, :], mu.weights)[0])
+        val = (inequalities.optimal_cost(alpha, space, ProbMeasure(nu), mu)[0] / h
+               if h >= floor else -np.inf)
+        ranked.append((val, k))
     ranked.sort(key=lambda kv: kv[0], reverse=True)
     return ranked[0]
+
+
+def _tilts_then(extras):
+    """``_tilt_starts`` followed by ``extras``: the extras join the
+    structured starts, ahead of the Dirichlet ones."""
+    tilts = inequalities._tilt_starts
+
+    def starts(space, mu_w):
+        yield from tilts(space, mu_w)
+        yield from extras
+    return starts
 
 
 LP_COSTS = (PowerYoung(2, 2), PowerYoung(2, 1), PowerYoung(3, 2))
@@ -137,18 +155,17 @@ def test_pruned_lp_scan_matches_rank_all(n, kind, cost, seed, extras):
         space = cycle_space(n, spacing) if kind == "cycle" else grid1d_space(n, spacing)
     mu = random_measure(rng, n)
     alpha = LP_COSTS[cost]
-    extra_sources = None
+    extra_starts = []
     if extras:
         # near-copies of the tilts put near-ties at the top of the ranking
         tilts = np.array(list(inequalities._tilt_starts(space, mu.weights)))
         noisy = tilts * (1.0 + rng.uniform(-1e-14, 1e-14, tilts.shape))
-        extra_sources = list(noisy / noisy.sum(axis=1, keepdims=True))
-        extra_sources += list(rng.dirichlet(np.full(n, 0.5), 3))
+        extra_starts = list(noisy / noisy.sum(axis=1, keepdims=True))
+        extra_starts += list(rng.dirichlet(np.full(n, 0.5), 3))
 
     def run():
         return transport_constant_estimate(alpha, space, mu, seed=seed,
-                                           budget=SearchBudget(starts=6),
-                                           extra_sources=extra_sources)
+                                           budget=SearchBudget(starts=6))
 
     calls = []
 
@@ -158,11 +175,12 @@ def test_pruned_lp_scan_matches_rank_all(n, kind, cost, seed, extras):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(inequalities, "optimal_cost", counting)
+        m.setattr(inequalities, "_tilt_starts", _tilts_then(extra_starts))
         got = run()
         pruned_calls = len(calls)
         m.setattr(inequalities, "_pruned_lp_scan", _rank_all_lp_scan)
         ref = run()
-    # the rank-all scan solves every distinct start above the floor once
+    # the rank-all scan solves every start above the floor
     rank_all_calls = len(calls) - pruned_calls
     assert got.value == ref.value
     assert np.array_equal(got.witness, ref.witness)
@@ -187,7 +205,7 @@ def test_pruned_lp_scan_margin_covers_lp_tolerance(n, cost, seed):
     alpha = LP_COSTS[cost]
     tilts = np.array(list(inequalities._tilt_starts(space, mu.weights)))
     noisy = tilts * (1.0 + rng.uniform(-1e-12, 1e-12, tilts.shape))
-    extra_sources = list(noisy / noisy.sum(axis=1, keepdims=True))
+    extra_starts = list(noisy / noisy.sum(axis=1, keepdims=True))
 
     def loose_lp(alpha, space, nu, mu):
         excess = zlib.crc32(nu.weights.tobytes()) / 2**32 * 1.9e-9
@@ -195,11 +213,11 @@ def test_pruned_lp_scan_margin_covers_lp_tolerance(n, cost, seed):
 
     def run():
         return transport_constant_estimate(alpha, space, mu, seed=seed,
-                                           budget=SearchBudget(starts=2),
-                                           extra_sources=extra_sources)
+                                           budget=SearchBudget(starts=2))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(inequalities, "optimal_cost", loose_lp)
+        m.setattr(inequalities, "_tilt_starts", _tilts_then(extra_starts))
         got = run()
         m.setattr(inequalities, "_pruned_lp_scan", _rank_all_lp_scan)
         ref = run()
@@ -226,6 +244,42 @@ def test_pruned_lp_scan_ties_go_to_earliest_start(rng):
     got, ref = results
     assert got.value == ref.value == 2.0**-20
     assert np.array_equal(got.witness, ref.witness)
+
+
+@pytest.mark.parametrize("kind", ["grid1d", "planar"])
+def test_lp_scan_on_partly_supported_measure(kind, rng):
+    # a 9-point mu with two zero-mass points is estimated on its 7-point
+    # support: the same value and witness as on the restricted space, and
+    # no LP ever sees a 9-point measure
+    space = grid1d_space(9, 0.4) if kind == "grid1d" else random_metric_space(rng, 9)
+    w = random_measure(rng, 9).weights.copy()
+    w[[2, 6]] = 0.0
+    mu = ProbMeasure(w / w.sum())
+    idx = mu.support()
+    assert idx.size == 7
+    sub = FiniteMetricSpace(tuple(space.labels[i] for i in idx),
+                            space.dist[np.ix_(idx, idx)],
+                            None if space.coords is None else space.coords[idx])
+    sub_mu = ProbMeasure(mu.weights[idx] / mu.weights[idx].sum())
+    sizes = []
+
+    def recording(alpha, space, nu, mu):
+        sizes.append((space.size, nu.size, mu.size))
+        return optimal_cost(alpha, space, nu, mu)
+
+    budget = SearchBudget(starts=4)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "optimal_cost", recording)
+        got = transport_constant_estimate(PowerYoung(2, 2), space, mu, seed=1,
+                                          budget=budget)
+        ref = transport_constant_estimate(PowerYoung(2, 2), sub, sub_mu, seed=1,
+                                          budget=budget)
+    assert got.method == ref.method == "structured-scan-lp"
+    assert got.value == ref.value > 0.0
+    assert got.witness.shape == (7,)
+    assert np.array_equal(got.witness, ref.witness)
+    assert got.n_candidates == ref.n_candidates
+    assert sizes and set(sizes) == {(7, 7, 7)}
 
 
 class TestTauLsiEstimate:
@@ -531,8 +585,8 @@ def _search_calls(monkeypatch, run):
     searches themselves are skipped (they report no finite value)."""
     calls = []
 
-    def spy(objective, starts, project, budget, gradient=None):
-        calls.append((objective, list(starts), project, budget, gradient))
+    def spy(objective, starts, project, budget):
+        calls.append((objective, list(starts), project, budget))
         return -np.inf, None, 0
 
     with monkeypatch.context() as patch:
@@ -573,37 +627,20 @@ def _lockstep_mlsi_global(rng, monkeypatch):
         budget=SearchBudget(starts=8, iterations=60)))
 
 
-def _lockstep_gradient(rng, monkeypatch):
-    # the LP polish runs from one start; give its objective and gradient more
-    space = random_metric_space(rng, 6)
-    mu = random_measure(rng, 6)
-    calls = _search_calls(monkeypatch, lambda: transport_constant_estimate(
-        PowerYoung(2, 2), space, mu, seed=3,
-        budget=SearchBudget(starts=4, iterations=20), polish_iterations=3))
-    objective, starts, project, budget, gradient = calls[0]
-    assert gradient is not None
-    starts += list(search.dirichlet_starts(rng, 6, 3))
-    return [(objective, starts, project, budget, gradient)]
-
-
 @pytest.mark.parametrize("capture", [_lockstep_scanner, _lockstep_mlsi_adjacency,
-                                     _lockstep_tau, _lockstep_gradient,
-                                     _lockstep_mlsi_global],
-                         ids=["scanner", "mlsi_adjacency", "tau", "gradient",
-                              "mlsi_global"])
+                                     _lockstep_tau, _lockstep_mlsi_global],
+                         ids=["scanner", "mlsi_adjacency", "tau", "mlsi_global"])
 def test_multistart_lockstep_matches_single_starts(capture, rng, monkeypatch):
     # lock-step batching must not change any start's path: the k-start run
     # equals the k one-start runs reduced in start order, bit for bit
     calls = capture(rng, monkeypatch)
     assert calls
-    for fn, starts, project, budget, gradient in calls:
+    for fn, starts, project, budget in calls:
         assert len(starts) > 1
-        best, x, evals = search.multistart_maximize(fn, starts, project, budget,
-                                                    gradient)
+        best, x, evals = search.multistart_maximize(fn, starts, project, budget)
         ref_best, ref_x, ref_evals = -np.inf, None, 0
         for start in starts:
-            val, wit, ev = search.multistart_maximize(fn, [start], project,
-                                                      budget, gradient)
+            val, wit, ev = search.multistart_maximize(fn, [start], project, budget)
             ref_evals += ev
             if wit is not None and val > ref_best:
                 ref_best, ref_x = val, wit
@@ -877,9 +914,10 @@ def test_dual_check_matches_row_major_scan(n, rng):
 
 
 def test_three_point_dual_check_memory(rng):
-    # the gaps are taken a block of rows at a time, so the check no longer
-    # holds four full (641,601 x 3) grids at once (78 MiB); the grid and its
-    # inf-convolution are 14.7 MiB each
+    # the inf-convolution and the gaps are taken a block of rows at a time,
+    # so the check holds no full (641,601 x 3) temporary beside the grid and
+    # its inf-convolution (14.7 MiB each), the means and the gaps (4.9 MiB
+    # each); four full grids at once took 78 MiB
     space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
     tracemalloc.start()
     try:
@@ -887,7 +925,7 @@ def test_three_point_dual_check_memory(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 50 * 2**20
+    assert peak <= 42 * 2**20
 
 
 def test_dual_level_bisection_matches_dual_check_bisection(rng):

@@ -73,7 +73,7 @@ def test_shell_matches_scalar_oracle(n, seed, zero, floor):
     assert pair_swap_shell(mu, high).shape == (0, n)
 
 
-def _ascent(start, project, budget, gradient):
+def _ascent(start, project, budget):
     """Projected ascent from one start, as a coroutine: the per-start
     reference for the array ascent of ``multistart_maximize``.
 
@@ -89,15 +89,11 @@ def _ascent(start, project, budget, gradient):
     best_val, best_x = fx, x.copy()
     step = budget.initial_step
     for _ in range(budget.iterations):
-        if gradient is None:
-            probes = x[None, :] + budget.fd_step * np.eye(x.size)
-            vals = yield probes
-            n_evals += x.size
-            grad = (vals - fx) / budget.fd_step
-            grad[~np.isfinite(grad)] = 0.0
-        else:
-            grad = gradient(x)
-            n_evals += 1
+        probes = x[None, :] + budget.fd_step * np.eye(x.size)
+        vals = yield probes
+        n_evals += x.size
+        grad = (vals - fx) / budget.fd_step
+        grad[~np.isfinite(grad)] = 0.0
         grad = grad - grad.mean()  # tangent to the mass constraint
         norm = float(np.linalg.norm(grad))
         if norm < 1e-14:
@@ -120,11 +116,10 @@ def _ascent(start, project, budget, gradient):
     return best_val, best_x, n_evals
 
 
-def _coroutine_maximize(objective, starts, project, budget, gradient=None,
-                        rounds=None):
+def _coroutine_maximize(objective, starts, project, budget, rounds=None):
     """Lock-step loop over one ``_ascent`` coroutine per start; appends each
     round's per-start row counts to ``rounds`` when given."""
-    runs = [_ascent(s, project, budget, gradient) for s in starts]
+    runs = [_ascent(s, project, budget) for s in starts]
     pending = {i: run.send(None) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
@@ -156,8 +151,8 @@ def _shift_project(f):
     return np.clip(f - f.max(axis=-1, keepdims=True), -4.0, 0.0)
 
 
-def _ascent_case(n, count, seed, kind, simplex, use_gradient, fd_step):
-    """Objective, starts, projection and gradient of one oracle case.
+def _ascent_case(n, count, seed, kind, simplex, fd_step):
+    """Objective, starts and projection of one oracle case.
 
     The walls put start 0 beyond them (a non-finite first value) and start 1
     half a probe step inside them (a non-finite probe value)."""
@@ -186,22 +181,13 @@ def _ascent_case(n, count, seed, kind, simplex, use_gradient, fd_step):
             return np.round(vals, 6)
         return np.where(rows[:, 0] > wall, blocked, vals)
 
-    def gradient(x):
-        if kind == "flat":
-            return np.zeros(n)
-        if kind == "wavy":
-            return 5.0 * np.cos(5.0 * x) - 2.0 * x
-        if kind == "wall_nan" and x[0] > wall - fd_step:  # a NaN norm
-            return np.full(n, np.nan)
-        return -2.0 * (x - target)
-
-    return objective, list(starts), project, gradient if use_gradient else None
+    return objective, list(starts), project
 
 
 def _both_ascents(case, budget, call_rows=None, rounds=None):
     """(array result, its calls), (oracle result, its calls) on one case;
     ``call_rows`` caps the rows of one objective call."""
-    objective, starts, project, gradient = case
+    objective, starts, project = case
     size = call_rows * starts[0].size * 8 if call_rows else search._CALL_BLOCK_BYTES
     out = []
     for maximize in (search.multistart_maximize,
@@ -213,7 +199,7 @@ def _both_ascents(case, budget, call_rows=None, rounds=None):
             return objective(rows)
 
         with mock.patch.object(search, "_CALL_BLOCK_BYTES", size):
-            out.append((maximize(recorded, starts, project, budget, gradient), calls))
+            out.append((maximize(recorded, starts, project, budget), calls))
     return out
 
 
@@ -235,34 +221,32 @@ KINDS = ["bowl", "wavy", "flat", "terraced", "wall_inf", "wall_nan"]
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(KINDS), simplex=st.booleans(),
-       use_gradient=st.booleans(), iterations=st.sampled_from([0, 1, 6, 40]),
+       iterations=st.sampled_from([0, 1, 6, 40]),
        initial_step=st.sampled_from([0.05, 0.6, 2e-12, 1e-12, 4e-13]),
        fd_step=st.sampled_from([1e-6, 1e-3]),
        call_rows=st.sampled_from([None, 1, 3]))
-@example(n=4, count=5, seed=1, kind="wall_inf", simplex=True, use_gradient=False,
+@example(n=4, count=5, seed=1, kind="wall_inf", simplex=True,
          iterations=40, initial_step=0.05, fd_step=1e-6, call_rows=None)
-@example(n=5, count=4, seed=2, kind="wall_nan", simplex=False, use_gradient=False,
+@example(n=5, count=4, seed=2, kind="wall_nan", simplex=False,
          iterations=40, initial_step=0.05, fd_step=1e-3, call_rows=None)
-@example(n=3, count=3, seed=3, kind="flat", simplex=True, use_gradient=False,
+@example(n=3, count=3, seed=3, kind="flat", simplex=True,
          iterations=40, initial_step=0.05, fd_step=1e-6, call_rows=None)
-@example(n=4, count=3, seed=4, kind="bowl", simplex=True, use_gradient=False,
+@example(n=4, count=3, seed=4, kind="bowl", simplex=True,
          iterations=0, initial_step=0.05, fd_step=1e-6, call_rows=None)
-@example(n=4, count=3, seed=5, kind="bowl", simplex=False, use_gradient=False,
+@example(n=4, count=3, seed=5, kind="bowl", simplex=False,
          iterations=40, initial_step=1e-12, fd_step=1e-6, call_rows=None)
-@example(n=6, count=4, seed=6, kind="wavy", simplex=True, use_gradient=True,
+@example(n=6, count=4, seed=6, kind="wavy", simplex=True,
          iterations=40, initial_step=0.05, fd_step=1e-6, call_rows=None)
-@example(n=5, count=6, seed=7, kind="wavy", simplex=False, use_gradient=False,
+@example(n=5, count=6, seed=7, kind="wavy", simplex=False,
          iterations=40, initial_step=0.6, fd_step=1e-6, call_rows=3)
-@example(n=5, count=4, seed=2, kind="wall_nan", simplex=False, use_gradient=True,
-         iterations=40, initial_step=0.05, fd_step=1e-3, call_rows=None)
-@example(n=3, count=3, seed=8, kind="terraced", simplex=True, use_gradient=False,
+@example(n=3, count=3, seed=8, kind="terraced", simplex=True,
          iterations=40, initial_step=2e-12, fd_step=1e-3, call_rows=None)
 def test_array_ascent_matches_coroutine_oracle(n, count, seed, kind, simplex,
-                                               use_gradient, iterations,
-                                               initial_step, fd_step, call_rows):
+                                               iterations, initial_step, fd_step,
+                                               call_rows):
     # every start follows the coroutine's path bit for bit: same value,
     # point, evaluation count and objective calls
-    case = _ascent_case(n, count, seed, kind, simplex, use_gradient, fd_step)
+    case = _ascent_case(n, count, seed, kind, simplex, fd_step)
     budget = SearchBudget(starts=count, iterations=iterations, fd_step=fd_step,
                           initial_step=initial_step)
     _assert_same_ascent(*_both_ascents(case, budget, call_rows))
@@ -272,22 +256,20 @@ def test_array_ascent_oracle_cases_reach_every_branch():
     # the pinned cases really hit the branches they are meant to
     budget = SearchBudget(iterations=40)
     rounds = []
-    got, ref = _both_ascents(_ascent_case(5, 6, 7, "wavy", False, False, 1e-6),
+    got, ref = _both_ascents(_ascent_case(5, 6, 7, "wavy", False, 1e-6),
                              budget, rounds=rounds)
     _assert_same_ascent(got, ref)
     # a round holding probe rows (n) beside line-search candidates (1)
     assert any(5 in r and 1 in r for r in rounds)
     # a non-finite first value, and a non-finite probe that is zeroed
-    objective, starts, project, _ = _ascent_case(4, 5, 1, "wall_inf", True, False,
-                                                 1e-6)
+    objective, starts, project = _ascent_case(4, 5, 1, "wall_inf", True, 1e-6)
     first = objective(project(np.array(starts)))
     assert first[0] == -np.inf and np.isfinite(first[1])
     x1 = project(starts[1][None, :])
     assert objective(x1 + 1e-6 * np.eye(4))[0] == -np.inf
-    objective, starts, project, _ = _ascent_case(5, 4, 2, "wall_nan", False, False,
-                                                 1e-3)
+    objective, starts, project = _ascent_case(5, 4, 2, "wall_nan", False, 1e-3)
     assert np.isnan(objective(project(starts[1][None, :]) + 1e-3 * np.eye(5))[0])
     # a flat objective stops every start at its first gradient
-    flat = _ascent_case(3, 3, 3, "flat", True, False, 1e-6)
+    flat = _ascent_case(3, 3, 3, "flat", True, 1e-6)
     (best, _, evals), _ = _both_ascents(flat, budget)[0]
     assert best == 0.0 and evals == 3 * (1 + 3)
