@@ -13,6 +13,7 @@ zero threshold), 5 internal solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,6 +308,7 @@ def _cmd_lemma_bounds(cfg) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser with every subcommand and its flags."""
     parser = argparse.ArgumentParser(
         prog="ineqlab",
         description="transport-entropy / log-Sobolev constant verification "
@@ -374,9 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code (see the module docstring).
+
+    The parser is built once per process and reused: parsing does not
+    change it, and in-process callers (tests, notebooks, the benchmark)
+    otherwise rebuild its seven subcommands on every call.  Argument errors
+    exit through argparse with status 2.
+    """
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         if "lambda-" in cfg:  # argparse dest mangling for the reserved word

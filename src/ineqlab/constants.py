@@ -158,32 +158,39 @@ def growth_factor(alpha: YoungFunction, a_premise: float, t: float) -> float:
     return math.exp(_herbst_integral(alpha, a_premise, t, -1.0, p))
 
 
-def minus_route_constant(alpha: YoungFunction, a_premise: float,
-                         rel_tol: float = 1e-8) -> float:
+def minus_route_constant(alpha: YoungFunction, a_premise: float) -> float:
     """lim_{t -> cutoff} (1/t) exp int_0^t A xi/(u (1 + A xi)) du.
 
     The map t -> (1/t) exp(...) is non-increasing.  When the cutoff is
-    finite (lower exponent 1) the limit is the value at the cutoff; when it
-    is infinite the integration range grows geometrically until the value
-    stabilizes to ``rel_tol``.
+    finite (lower exponent 1) the limit is the value at the cutoff.  When
+    it is infinite, the Herbst integrand g = A xi/(u (1 + A xi)) equals
+    1/u - 1/(u (1 + A xi)), so the log t cancels and
+
+        log lim = int_0^1 g du - int_1^oo du / (u (1 + A xi(u))).
+
+    The tail converges because xi grows at least like u^{1/(p-1)}.  For
+    the power family it grows like u^{1/(r-1)}, r the lower exponent, so
+    the tail is one quadrature in y with u = y^(r-1), du/u = (r-1) dy/y,
+    where xi is about linear in y.  (In the head's variable v, an outer
+    exponent near 1 squeezes the whole tail into a sliver just above
+    v = 1 that quad can miss.)
     """
-    p = exponents(alpha).p_exp
+    exps = exponents(alpha)
+    p = exps.p_exp
     cut = xi_cutoff(alpha)
-
-    def value_at(t):
-        return math.exp(_herbst_integral(alpha, a_premise, t, +1.0, p)) / t
-
     if math.isfinite(cut):
-        return value_at(cut)
-    t = 1.0
-    prev = value_at(t)
-    for _ in range(60):
-        t *= 4.0
-        cur = value_at(t)
-        if abs(prev - cur) <= rel_tol * abs(cur):
-            return cur
-        prev = cur
-    return prev
+        return math.exp(_herbst_integral(alpha, a_premise, cut, +1.0, p)) / cut
+    rm1 = exps.r_exp - 1.0
+
+    def tail(y):
+        try:
+            x = xi_value(alpha, y**rm1)
+        except OverflowError:  # xi beyond the float range: the term is 0
+            return 0.0
+        return rm1 / (y * (1.0 + a_premise * x))
+
+    rest, _ = quad(tail, 1.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=400)
+    return math.exp(_herbst_integral(alpha, a_premise, 1.0, +1.0, p) - rest)
 
 
 def tau_lsi_transport_constant(p: float, a_premise: float, lam: float) -> float:

@@ -34,7 +34,7 @@ from .constants import (
     kappa_tilde,
     tau_lsi_transport_constant,
 )
-from .infconv import _q_rows, lipschitz_seminorm, p_conv
+from .infconv import _q_rows, lipschitz_seminorm
 from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
@@ -265,7 +265,7 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     from the shell rows, priced by :class:`ineqlab.transport.BasisScanner`;
     above five points the starts themselves are scanned by certified LP.
     Sources below the entropy floor are excluded; the dense scans of two
-    and three points also count them.
+    and three points and the LP scan above five points also count them.
 
     On two points the shell is exhaustive: the cost alpha(d) |nu_0 - mu_0|
     is linear and the entropy convex along the segment, zero at mu, so the
@@ -316,9 +316,13 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                                           budget.starts))
     if n > 5:
         best, k = _pruned_lp_scan(alpha, space, mu, entropy_floor, starts)
-        return EstimateResult(max(best, 0.0), np.asarray(starts[k]), len(starts),
-                              0, "structured-scan-lp",
-                              notes=(f"{len(starts)} starts",))
+        below = int(np.count_nonzero(_entropy_vec(np.stack(starts), mu_w)
+                                     < entropy_floor))
+        witness, notes = np.asarray(starts[k]), (f"{len(starts)} starts",)
+        if best == -np.inf:
+            witness, notes = None, ("no candidate above the entropy floor", *notes)
+        return EstimateResult(max(best, 0.0), witness, len(starts), below,
+                              "structured-scan-lp", notes=notes)
     starts.extend(shell)
     best, witness, evals = _transport_ascent(alpha, space, mu, entropy_floor,
                                              starts, budget)
@@ -648,22 +652,36 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
     """Tensorized sup-convolution moment premise on the n-fold product:
     log int e^{tau P f} dmu^n <= log a + b mu^n(Pf) + tau c ||f||_inf
     for non-negative f.  Evaluated over a seeded battery of potentials;
-    the implied transport constant is 1 / (tau (1 - c))."""
+    the implied transport constant is 1 / (tau (1 - c)).
+
+    The battery is priced as one array: the potentials are stacked in the
+    order they are drawn, the sup-convolution runs once per product axis
+    (last axis first, as :func:`ineqlab.infconv.p_conv` does) through the
+    min-plus row kernel, and the log-sum-exp, means and sup-norms are taken
+    per row.  Every number equals the one-potential-at-a-time evaluation."""
     if not 0.0 <= c_norm < 1.0:
         raise ValueError("c must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     prod = ProductSpace(space, n)
-    weights = prod.product_weights(mu)
-    worst = -math.inf
-    worst_f = None
-    for _ in range(count):
-        f = rng.uniform(0.0, rng.uniform(0.5, 6.0), prod.shape)
-        pf, _ = p_conv(alpha, f, space, n)
-        log_lhs = _logsumexp_rows((np.log(weights) + tau * pf).reshape(1, -1))[0]
-        rhs = math.log(a) + b * float((weights * pf).sum()) + tau * c_norm * float(np.abs(f).max())
-        gap = log_lhs - rhs
-        if gap > worst:
-            worst, worst_f = gap, f
+    weights = prod.product_weights(mu).reshape(-1)
+    fs = np.empty((count, *prod.shape))
+    for k in range(count):
+        fs[k] = rng.uniform(0.0, rng.uniform(0.5, 6.0), prod.shape)
+    costs = cost_matrix(alpha, space)
+    g = -fs
+    for axis in range(n, 0, -1):
+        moved = np.moveaxis(g, axis, -1)
+        q = _q_rows(costs, moved.reshape(-1, space.size))
+        g = np.moveaxis(q.reshape(moved.shape), -1, axis)
+    pf = -g.reshape(count, prod.size)
+    log_lhs = _logsumexp_rows(np.log(weights) + tau * pf)
+    sup = np.abs(fs.reshape(count, prod.size)).max(axis=1)
+    gaps = (log_lhs - (math.log(a) + b * (weights * pf).sum(axis=1)
+                       + tau * c_norm * sup))
+    worst, worst_sup = -math.inf, None
+    if count:
+        k = int(np.argmax(gaps))
+        worst, worst_sup = gaps[k], float(sup[k])
     return {
         "tau": tau, "a": a, "b": b, "c": c_norm, "order": n,
         "max_log_gap": float(worst),
@@ -671,7 +689,7 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
         "implied_transport_constant": 1.0 / (tau * (1.0 - c_norm)),
         "n_candidates": count,
         "gap_tol": gap_tol,
-        "worst_potential_max": float(np.abs(worst_f).max()) if worst_f is not None else None,
+        "worst_potential_max": worst_sup,
     }
 
 

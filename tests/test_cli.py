@@ -238,6 +238,40 @@ class TestRuns:
                     "--output-dir", str(tmp_path)]) == 0
 
 
+class TestParserReuse:
+    CALLS = (
+        ("constants", ["constants", "--alpha", "power:2,2", "--A", "1.3",
+                       "--lambda", "0.5"]),
+        ("estimate-T", ["estimate", "T", "--alpha", "power:2,2", "--seed", "5"]),
+    )
+
+    def _calls(self, tmp_path, space_file):
+        """A bad-argument call, then two subcommands, in one process."""
+        with pytest.raises(SystemExit) as bad:
+            run(["estimate", "Q", "--alpha", "power:2,2"])
+        out = [bad.value.code]
+        for stem, argv in self.CALLS:
+            outdir = tmp_path / stem
+            extra = ["--space-file", space_file] if argv[0] == "estimate" else []
+            code = run([*argv, *extra, "--output-dir", str(outdir)])
+            report = json.loads((outdir / f"{stem}.json").read_text())
+            out.append((code, report["result"]))
+        return out
+
+    def test_cached_parser_matches_fresh_parser(self, tmp_path, two_point_file,
+                                                monkeypatch, capsys):
+        assert cli._parser() is cli._parser()
+        reused = self._calls(tmp_path / "reused", two_point_file)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._calls(tmp_path / "fresh", two_point_file)
+        assert reused == fresh
+        assert reused[0] == 2 and [code for code, _ in reused[1:]] == [0, 0]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+
 class TestDeterminism:
     def test_reports_identical_modulo_timestamp(self, tmp_path, two_point_file):
         out1 = tmp_path / "r1"

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from ineqlab.constants import (
     ThresholdZeroError,
+    _herbst_integral,
     growth_factor,
     holley_factor_numeric,
     implication_constants,
@@ -15,7 +20,7 @@ from ineqlab.constants import (
     t_threshold,
     tau_lsi_transport_constant,
 )
-from ineqlab.young import PowerYoung, epsilon_value
+from ineqlab.young import PowerYoung, epsilon_value, exponents, xi_value
 
 
 class TestConversionFactors:
@@ -84,7 +89,7 @@ class TestGrowthFactor:
 class TestMinusRoute:
     def test_quadratic_collapses_to_premise(self):
         assert minus_route_constant(PowerYoung(2, 2), 1.0) == pytest.approx(
-            1.0, rel=1e-6)
+            1.0, rel=1e-12)
 
     def test_bounded_slope_value_at_cutoff(self):
         # ratio(u) = u below the cutoff 1: exp(int_0^1 A/(1+Au) du) = 1+A
@@ -101,13 +106,64 @@ class TestMinusRoute:
             assert bundle.b_minus <= bundle.c_minus * (1 + 1e-6)
 
 
+def _herbst_values(alpha, a_premise, ks):
+    """(1/t) exp int_0^t A xi/(u (1 + A xi)) du at t = 4^k for each k.
+
+    The oracle of the limit: the head int_0^1 as in the package, the rest in
+    w = log u over pieces at most 1/4 wide (finer towards w = 0), where an
+    outer exponent near 1 puts the whole rise of A xi / (1 + A xi).
+    """
+    p = exponents(alpha).p_exp
+    head = _herbst_integral(alpha, a_premise, 1.0, +1.0, p)
+
+    def g(w):
+        try:
+            x = a_premise * xi_value(alpha, math.exp(w))
+        except OverflowError:
+            return 1.0
+        return x / (1.0 + x)
+
+    top = max(ks) * math.log(4.0)
+    edges = np.unique(np.concatenate([
+        [0.0], np.geomspace(1e-14, 0.25, 50), np.arange(0.25, top, 0.25),
+        np.log(4.0) * np.asarray(ks, dtype=float)]))
+    pieces = [quad(g, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    cum = np.concatenate([[0.0], np.cumsum(pieces)])
+    return [math.exp(head + cum[np.searchsorted(edges, k * math.log(4.0))]) / 4.0**k
+            for k in ks]
+
+
+# p2 - 1 and A are drawn log-uniformly, so outer exponents near 1, whose
+# tail is a sliver above u = 1, come up as often as the rest
+@settings(max_examples=60)
+@given(p1=st.floats(2.0, 3.5),
+       p2=st.floats(-12.0, math.log10(2.5)).map(lambda e: 1.0 + 10.0**e),
+       a_premise=st.floats(-2.0, 4.0).map(lambda e: 10.0**e))
+def test_minus_route_limit_brackets_the_herbst_map(p1, p2, a_premise):
+    # t -> (1/t) exp int_0^t is non-increasing, so the limit lies below its
+    # value at every t; and above the value at T = 4^20 less the rest of the
+    # tail, int_T^oo du/(u A xi) <= 1/(A T^{1/(p2-1)}), since
+    # xi(u) >= (p2-1) u^{1/(p2-1)} for u > 1
+    alpha = PowerYoung(p1, p2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        limit = minus_route_constant(alpha, a_premise)
+    ks = list(range(13)) + [20]
+    values = _herbst_values(alpha, a_premise, ks)
+    assert all(limit <= v * (1 + 1e-9) for v in values)
+    with np.errstate(over="ignore"):
+        rest = 1.0 / (a_premise * np.float64(4.0) ** (20.0 / (p2 - 1.0)))
+    assert limit >= values[-1] * math.exp(-rest) * (1 - 1e-7)
+
+
 class TestBundle:
     def test_quadratic_identity_case(self):
         b = implication_constants(PowerYoung(2, 2), 1.0, 0.5)
         assert b.c_plus == 1.0
         assert b.c_minus == 1.0
         assert b.c_from_threshold == pytest.approx(1.0, rel=1e-9)
-        assert b.b_minus == pytest.approx(1.0, rel=1e-6)
+        assert b.b_minus == pytest.approx(1.0, rel=1e-12)
         assert b.kappa == 4.0
         assert b.kappa_tilde == 16.0
         assert b.c_from_tau_lsi == pytest.approx(8.0)
@@ -131,9 +187,6 @@ class TestBundle:
         # t -> t * exp(-int...) is non-decreasing: equivalently the
         # reciprocal of the minus-route value at t is non-decreasing in t
         a = PowerYoung(3, 2)
-        from ineqlab.constants import _herbst_integral
-        from ineqlab.young import exponents
-
         p = exponents(a).p_exp
         ts = np.linspace(0.05, 8.0, 60)
         vals = [t * math.exp(-_herbst_integral(a, 1.3, t, +1.0, p)) for t in ts]

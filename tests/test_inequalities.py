@@ -26,6 +26,7 @@ from ineqlab.search import ENTROPY_FLOOR, SearchBudget
 from ineqlab.spaces import (
     FiniteMetricSpace,
     ProbMeasure,
+    ProductSpace,
     _entropy_vec,
     _gauge_entropy,
     cycle_space,
@@ -246,6 +247,38 @@ def test_pruned_lp_scan_ties_go_to_earliest_start(rng):
     assert np.array_equal(got.witness, ref.witness)
 
 
+def _lp_starts(space, mu, seed=0):
+    """The structured starts of the LP path under the default budget."""
+    starts = list(inequalities._tilt_starts(space, mu.weights))
+    starts.extend(search.dirichlet_starts(np.random.default_rng(seed), space.size,
+                                          SearchBudget().starts))
+    return starts
+
+
+def test_lp_scan_without_candidate_above_floor():
+    # no structured start of the uniform 6-point measure reaches entropy 5:
+    # no witness, and every start is counted as excluded
+    space, mu = grid1d_space(6, 0.5), ProbMeasure.uniform(6)
+    est = transport_constant_estimate(PowerYoung(2, 2), space, mu, entropy_floor=5.0)
+    assert (est.value, est.witness, est.n_candidates, est.n_excluded) == (0.0, None, 80, 80)
+    assert est.notes == ("no candidate above the entropy floor", "80 starts")
+
+
+def test_lp_scan_counts_starts_below_floor():
+    # a floor between the starts' entropies: the excluded count is the
+    # number of starts below it, and the witness is one of the others
+    space, mu = grid1d_space(6, 0.5), ProbMeasure.uniform(6)
+    floor = 0.05
+    ents = [relative_entropy(ProbMeasure(s), mu) for s in _lp_starts(space, mu)]
+    below = sum(h < floor for h in ents)
+    assert 0 < below < len(ents)
+    est = transport_constant_estimate(PowerYoung(2, 2), space, mu, entropy_floor=floor)
+    assert (est.n_candidates, est.n_excluded) == (len(ents), below)
+    assert est.value > 0.0
+    assert relative_entropy(ProbMeasure(est.witness), mu) >= floor
+    assert est.notes == (f"{len(ents)} starts",)
+
+
 @pytest.mark.parametrize("kind", ["grid1d", "planar"])
 def test_lp_scan_on_partly_supported_measure(kind, rng):
     # a 9-point mu with two zero-mass points is estimated on its 7-point
@@ -397,6 +430,53 @@ class TestDual:
                                 c_norm=0.0, n=2, count=32, seed=3)
         assert out["max_log_gap"] <= out["gap_tol"] * 50  # diagnostic scale
         assert out["implied_transport_constant"] == pytest.approx(1.0 / level)
+
+
+def _tensor_dual_loop(alpha, space, mu, *, tau, a, b, c_norm, n=2, count=64,
+                      seed=0, gap_tol=inequalities.DUAL_GAP_TOL):
+    """The one-potential-at-a-time battery the array pass replaces: one
+    ``p_conv`` and one log-sum-exp per drawn potential."""
+    rng = np.random.default_rng(seed)
+    prod = ProductSpace(space, n)
+    weights = prod.product_weights(mu)
+    worst, worst_f = -math.inf, None
+    for _ in range(count):
+        f = rng.uniform(0.0, rng.uniform(0.5, 6.0), prod.shape)
+        pf, _ = infconv.p_conv(alpha, f, space, n)
+        log_lhs = inequalities._logsumexp_rows(
+            (np.log(weights) + tau * pf).reshape(1, -1))[0]
+        rhs = (math.log(a) + b * float((weights * pf).sum())
+               + tau * c_norm * float(np.abs(f).max()))
+        gap = log_lhs - rhs
+        if gap > worst:
+            worst, worst_f = gap, f
+    return {
+        "tau": tau, "a": a, "b": b, "c": c_norm, "order": n,
+        "max_log_gap": float(worst),
+        "violation": bool(worst > gap_tol),
+        "implied_transport_constant": 1.0 / (tau * (1.0 - c_norm)),
+        "n_candidates": count,
+        "gap_tol": gap_tol,
+        "worst_potential_max": (float(np.abs(worst_f).max())
+                                if worst_f is not None else None),
+    }
+
+
+@settings(max_examples=40)
+@given(size=st.integers(2, 3), n=st.integers(1, 3), count=st.sampled_from([0, 1, 64]),
+       cost=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]),
+       tau=st.floats(1e-3, 5.0), b=st.floats(0.0, 2.0), c_norm=st.floats(0.0, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_tensor_dual_matches_per_potential_loop(size, n, count, cost, tau, b, c_norm,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    space, mu = random_metric_space(rng, size), random_measure(rng, size)
+    kwargs = dict(tau=tau, a=float(rng.uniform(0.5, 2.0)), b=b, c_norm=c_norm,
+                  n=n, count=count, seed=seed % 1000)
+    got = tensor_dual_check(PowerYoung(*cost), space, mu, **kwargs)
+    assert got == _tensor_dual_loop(PowerYoung(*cost), space, mu, **kwargs)
+    if count == 0:
+        assert (got["max_log_gap"], got["worst_potential_max"]) == (-math.inf, None)
 
 
 class TestConcentration:
