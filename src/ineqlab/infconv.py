@@ -131,10 +131,22 @@ def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
     return np.moveaxis(val, -1, coord)
 
 
+# most product points lipschitz_seminorm takes: it forms (points, points)
+# pair matrices, 134 MB each at this size
+_SEMINORM_MAX_POINTS = 4096
+
+
 def lipschitz_seminorm(f: np.ndarray, space: FiniteMetricSpace, p: float,
                        n: int = 1) -> float:
-    """sup over pairs of |f(x) - f(y)| / (sum_i d(x_i,y_i)^p)^(1/p)."""
+    """sup over pairs of |f(x) - f(y)| / (sum_i d(x_i,y_i)^p)^(1/p).
+
+    Raises ValueError above ``_SEMINORM_MAX_POINTS`` product points, before
+    any pair matrix is allocated.
+    """
     f = _check_shape(f, space.size, n)
+    if f.size > _SEMINORM_MAX_POINTS:
+        raise ValueError(f"Lipschitz seminorm over {f.size} product points: "
+                         f"the pair matrices allow at most {_SEMINORM_MAX_POINTS}")
     dp = space.dist**p
     flat = f.ravel()
     size = space.size

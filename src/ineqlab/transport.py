@@ -19,6 +19,10 @@ feasible upper bound:
   space, and on a line with sorted points and a cost convex in the distance
   it is the monotone coupling and attains it (the LP scan above five points
   uses it to skip sources that cannot win).
+
+The brute-force oracle and the scanner read one cached table per size: the
+edges and inverse bases of every spanning tree of K_{n,n}
+(:func:`_tree_bases`).
 """
 
 from __future__ import annotations
@@ -140,79 +144,49 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
 # ---------------------------------------------------------------------------
 # spanning-tree bases
 
-_TREE_CACHE: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+# edge subsets tested per batched determinant in _tree_bases
+_TREE_BLOCK = 1 << 12
 
 
-def _spanning_trees(m: int, n: int) -> list[tuple[tuple[int, int], ...]]:
-    """All spanning trees of the complete bipartite graph K_{m,n}.
+@functools.cache
+def _tree_bases(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every spanning tree of K_{n,n}: the (T, 2n-1) source and target
+    indices of its edges, so ``costs[rows, cols]`` gathers all tree edge
+    costs at once, and its (T, 2n-1, 2n-1) inverse basis, which maps the
+    reduced marginals ``concat(nu, mu)[:2n-1]`` to the tree's edge flows.
 
-    Enumerated by filtering edge subsets of size m+n-1 with a union-find
-    acyclicity check; cached per size (m^{n-1} n^{m-1} trees).
+    Conservation at every vertex gives 2n equations in 2n-1 tree flows with
+    one redundancy (equal total mass), so the basis is the vertex-by-edge
+    incidence matrix without the last target's row.  The (2n-1)-edge
+    subsets are taken in ``itertools.combinations`` order, a block at a
+    time; a subset is a spanning tree exactly when its basis is invertible,
+    and the incidence matrix is totally unimodular, so the determinant is 0
+    or +-1.  There are n^(2n-2) trees; cached per size.
     """
-    key = (m, n)
-    if key in _TREE_CACHE:
-        return _TREE_CACHE[key]
-    edges = [(i, j) for i in range(m) for j in range(n)]
-    k = m + n - 1
-    trees = []
-    for subset in itertools.combinations(edges, k):
-        parent = list(range(m + n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        acyclic = True
-        for (i, j) in subset:
-            ra, rb = find(i), find(m + j)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if acyclic:
-            trees.append(subset)
-    _TREE_CACHE[key] = trees
-    return trees
-
-
-def _tree_solver(tree, m: int, n: int) -> np.ndarray:
-    """Inverse basis matrix mapping reduced marginals to edge flows.
-
-    Conservation at every vertex gives m+n equations in m+n-1 tree flows
-    with one redundancy (equal total mass); dropping the last column
-    equation leaves an invertible system.
-    """
-    k = m + n - 1
-    a = np.zeros((m + n, k))
-    for e, (i, j) in enumerate(tree):
-        a[i, e] = 1.0
-        a[m + j, e] = 1.0
-    return np.linalg.inv(a[:k, :])
-
-
-_SOLVER_CACHE: dict[int, np.ndarray] = {}
-
-
-def _tree_solvers(n: int) -> np.ndarray:
-    """Stacked solvers for all spanning trees of K_{n,n} (cached)."""
-    if n not in _SOLVER_CACHE:
-        _SOLVER_CACHE[n] = np.stack([_tree_solver(t, n, n)
-                                     for t in _spanning_trees(n, n)])
-    return _SOLVER_CACHE[n]
-
-
-_EDGE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _tree_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T, 2n-1) source and target indices of every spanning tree's edges,
-    so ``costs[rows, cols]`` gathers all tree edge costs at once (cached)."""
-    if n not in _EDGE_CACHE:
-        edges = np.array(_spanning_trees(n, n), dtype=np.intp)  # (T, E, 2)
-        _EDGE_CACHE[n] = (edges[:, :, 0], edges[:, :, 1])
-    return _EDGE_CACHE[n]
+    k = 2 * n - 1
+    total = n ** (2 * n - 2)
+    rows = np.empty((total, k), dtype=np.intp)
+    cols = np.empty((total, k), dtype=np.intp)
+    solvers = np.empty((total, k, k))
+    # edge e of K_{n,n} joins source e // n and target e % n
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(n * n), k))
+    edge = np.arange(k)
+    t = 0
+    while (flat := np.fromiter(itertools.islice(subsets, _TREE_BLOCK * k),
+                               dtype=np.intp)).size:
+        src, dst = np.divmod(flat.reshape(-1, k), n)
+        incidence = np.zeros((src.shape[0], 2 * n, k))
+        b = np.arange(src.shape[0])[:, None]
+        incidence[b, src, edge] = 1.0
+        incidence[b, n + dst, edge] = 1.0
+        basis = incidence[:, :k]
+        keep = np.abs(np.linalg.det(basis)) > 0.5
+        found = int(keep.sum())
+        rows[t:t + found] = src[keep]
+        cols[t:t + found] = dst[keep]
+        solvers[t:t + found] = np.linalg.inv(basis[keep])
+        t += found
+    return rows, cols, solvers
 
 
 def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
@@ -221,16 +195,18 @@ def brute_force_cost(alpha: YoungFunction, space: FiniteMetricSpace,
 
     Every vertex of the transport polytope is the flow of some spanning
     tree of K_{n,n}; a linear program attains its optimum at a vertex, so
-    the minimum over feasible tree flows is the exact cost.  Restricted to
-    spaces with at most 5 points.
+    the minimum over feasible tree flows is the exact cost.  The flows are
+    one product with the cached inverse bases of :func:`_tree_bases`.
+    Restricted to spaces with at most 5 points.
     """
     n = space.size
     if n > 5:
         raise ValueError("brute force restricted to at most 5 points")
     costs = cost_matrix(alpha, space)
     b = np.concatenate([nu.weights, mu.weights])[: 2 * n - 1]
-    flows = _tree_solvers(n) @ b  # (T, E)
-    edge_costs = costs[_tree_edges(n)]
+    rows, cols, solvers = _tree_bases(n)
+    flows = solvers @ b  # (T, E)
+    edge_costs = costs[rows, cols]
     feasible = np.all(flows >= -_TREE_FEAS_TOL, axis=1)
     if not np.any(feasible):
         raise SolverFailure("no feasible basic solution (invalid marginals?)")
@@ -301,9 +277,11 @@ class BasisScanner:
     By LP duality the cost is the maximum of phi.nu + psi.mu over the
     vertices of {phi_i + psi_j <= c_ij, psi_last = 0}.  Each vertex is the
     potential pair of a spanning-tree basis of K_{n,n} (tight on the tree
-    edges), and which trees are dual feasible does not depend on nu; the
-    feasible ones are tabulated once, so pricing a batch is one contraction
-    and a row maximum.  Every term is a weak-duality lower bound.
+    edges), and which trees are dual feasible does not depend on nu.  The
+    potentials of every tree come from the cached :func:`_tree_bases` table
+    and only the feasible ones are kept, so pricing a batch is one
+    contraction and a row maximum.  Every term is a weak-duality lower
+    bound.
     """
 
     def __init__(self, alpha: YoungFunction, space: FiniteMetricSpace,
@@ -313,8 +291,8 @@ class BasisScanner:
             raise ValueError("basis scanning restricted to at most 5 points")
         self.n = n
         costs = cost_matrix(alpha, space)
-        edge_costs = costs[_tree_edges(n)]
-        y = np.einsum("tev,te->tv", _tree_solvers(n), edge_costs)
+        rows, cols, solvers = _tree_bases(n)
+        y = np.einsum("tev,te->tv", solvers, costs[rows, cols])
         phi = y[:, :n]
         psi = np.concatenate([y[:, n:], np.zeros((y.shape[0], 1))], axis=1)
         viol = (phi[:, :, None] + psi[:, None, :] - costs).max(axis=(1, 2))

@@ -178,13 +178,15 @@ class PowerYoung(YoungFunction):
         p1, p2 = self.p1, self.p2
         q1 = p1 / (p1 - 1.0)
         z = np.abs(np.asarray(y, dtype=float)) / p1
-        inner = p1 * z**q1 / q1
-        if p2 == 1.0:
-            out = np.where(z <= 1.0, inner, np.inf)
-        else:
-            q2 = p2 / (p2 - 1.0)
-            outer = p1 * (z**q2 / q2 + 1.0 / q1 - 1.0 / q2)
-            out = np.where(z <= 1.0, inner, outer)
+        # a power beyond the float range reads +oo
+        with np.errstate(over="ignore"):
+            inner = p1 * z**q1 / q1
+            if p2 == 1.0:
+                out = np.where(z <= 1.0, inner, np.inf)
+            else:
+                q2 = p2 / (p2 - 1.0)
+                outer = p1 * (z**q2 / q2 + 1.0 / q1 - 1.0 / q2)
+                out = np.where(z <= 1.0, inner, outer)
         return out if out.ndim else float(out)
 
     def exponents(self) -> ExponentPair:
@@ -459,23 +461,28 @@ def _xi_power(alpha: PowerYoung, x: float) -> float:
         return math.inf
     q1 = p1 / (p1 - 1.0)
     q2 = p2 / (p2 - 1.0)
-    if p1 >= p2:
-        return p1 * (x ** (1.0 / (p2 - 1.0)) / q2 + (1.0 / q1 - 1.0 / q2) / x)
-    return max((p1 - 1.0) * x ** (1.0 / (p1 - 1.0)),
-               (p2 - 1.0) * x ** (1.0 / (p2 - 1.0)))
+    try:
+        if p1 >= p2:
+            return p1 * (x ** (1.0 / (p2 - 1.0)) / q2 + (1.0 / q1 - 1.0 / q2) / x)
+        return max((p1 - 1.0) * x ** (1.0 / (p1 - 1.0)),
+                   (p2 - 1.0) * x ** (1.0 / (p2 - 1.0)))
+    except OverflowError:
+        # a power x ** (1/(p-1)) beyond the float range; every term is
+        # positive, so xi is +oo in floats
+        return math.inf
 
 
 # float64 bytes per (x, u) temporary of the grid stage of xi_numeric
 _XI_BLOCK_BYTES = 1 << 20
 
 
-def xi_numeric(alpha: YoungFunction, x, overflow: float = 1e12):
+def xi_numeric(alpha: YoungFunction, x):
     """Grid supremum of alpha*(x alpha'_+(u))/(x alpha(u)) with refinement.
 
     ``x`` may be an array; every x is evaluated in one lock-step pass and
     a scalar gives a float.  An x returns +oo as soon as one of its
-    sampled conjugate values is infinite or unbounded, or its running
-    supremum exceeds ``overflow``; the other x are unaffected.
+    sampled conjugate values is infinite or unbounded; the other x are
+    unaffected.
     """
     xv = np.asarray(x, dtype=float)
     if np.any(xv <= 0):
@@ -499,7 +506,7 @@ def xi_numeric(alpha: YoungFunction, x, overflow: float = 1e12):
         ratios[~finite] = 0.0
         best[lo:lo + block] = np.where(finite, ratios.max(axis=1), np.inf)
         k[lo:lo + block] = ratios.argmax(axis=1)
-    live = best <= overflow
+    live = np.isfinite(best)
 
     # ternary refinement in log u around each grid argmax, all x in step
     xl = xs[live]
@@ -522,7 +529,6 @@ def xi_numeric(alpha: YoungFunction, x, overflow: float = 1e12):
     bl = best[live]
     # max(best, mid) as on floats: a nan probe leaves best
     best[live] = np.where(dead, np.inf, np.where(mid > bl, mid, bl))
-    best[~(best <= overflow)] = np.inf
     out = best.reshape(xv.shape)
     return out if out.ndim else float(out)
 

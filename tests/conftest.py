@@ -37,3 +37,23 @@ def space_factory():
 @pytest.fixture
 def measure_factory():
     return random_measure
+
+
+# the README's 201-point Gaussian grid
+README_GRID = {
+    "generator": {"kind": "grid1d", "count": 201, "spacing": 0.05, "start": -5.0},
+    "measure": {"density": "exp(-x**2/2)"},
+}
+
+
+@pytest.fixture
+def no_large_zeros(monkeypatch):
+    """Fail any ``np.zeros`` above 2**22 entries (32 MB of floats), so a test
+    of an allocation guard never builds the matrix the guard refuses."""
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 2 ** 22, f"np.zeros({shape!r})"
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_measure, random_metric_space
+from conftest import README_GRID, random_measure, random_metric_space
 from ineqlab import cli
 from ineqlab.cli import main
 from ineqlab.constants import ThresholdZeroError
@@ -50,6 +50,15 @@ class TestConstantsCommand:
         assert res["kappa"] == 4.0
         assert res["kappa_tilde"] == 16.0
 
+    def test_outer_exponent_near_one(self, tmp_path):
+        # xi overflows to +inf beyond x = 1; the minus-route limit is finite
+        code = run(["constants", "--alpha", "power:2,1.001", "--A", "0.001",
+                    "--lambda", "1", "--output-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "constants.json").read_text())
+        assert report["result"]["b_minus"] == pytest.approx(0.98796120222971,
+                                                            rel=1e-13)
+
     def test_bad_alpha_spec(self, tmp_path):
         assert run(["constants", "--alpha", "power:2", "--A", "1",
                     "--lambda", "0.5", "--output-dir", str(tmp_path)]) == 1
@@ -65,6 +74,24 @@ class TestXiTable:
         rows = (tmp_path / "xi-table.csv").read_text().strip().splitlines()
         assert rows[0] == "x,closed_form,numeric,rel_err"
         assert len(rows) == 61
+
+    def test_power_overflow_reads_inf(self, tmp_path):
+        # x ** (1/(p2-1)) leaves the float range for p2 = 1.001 at x > 1
+        code = run(["xi-table", "--alpha", "power:2,1.001",
+                    "--grid", "1:10:3", "--output-dir", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "xi-table.csv").read_text().strip().splitlines()
+        assert [r.split(",")[:3] for r in rows[2:]] == [
+            ["3.1622776601683795", "inf", "inf"], ["10", "inf", "inf"]]
+
+    def test_power_beyond_1e12_agrees(self, tmp_path):
+        # the closed form reaches 1.98e198 at x = 100; the numeric supremum
+        # follows it, with no cap
+        code = run(["xi-table", "--alpha", "power:2,1.01",
+                    "--grid", "1:100:5", "--output-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "xi-table.json").read_text())
+        assert report["result"]["agree_1e-5"] is True
 
     def test_table_cost_200_points(self, tmp_path):
         # 201-knot quadratic table: each numeric x once took about 0.6 s
@@ -230,6 +257,16 @@ class TestRuns:
                     "--seed", "1", "--C", "300", "--p", "2",
                     "--space-file", two_point_file,
                     "--output-dir", str(tmp_path)]) == 0
+
+    def test_concentration_oversized_product_exit_one(self, tmp_path,
+                                                      no_large_zeros, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(README_GRID))
+        assert run(["verify", "concentration", "--alpha", "power:2,2",
+                    "--seed", "1", "--C", "300", "--p", "2", "--order", "2",
+                    "--space-file", str(path),
+                    "--output-dir", str(tmp_path)]) == 1
+        assert "40401 product points" in capsys.readouterr().err
 
     def test_lemma_bounds(self, tmp_path, two_point_file):
         assert run(["lemma-bounds", "--alpha", "power:3,2", "--seed", "3",

@@ -117,11 +117,8 @@ def _herbst_values(alpha, a_premise, ks):
     head = _herbst_integral(alpha, a_premise, 1.0, +1.0, p)
 
     def g(w):
-        try:
-            x = a_premise * xi_value(alpha, math.exp(w))
-        except OverflowError:
-            return 1.0
-        return x / (1.0 + x)
+        x = a_premise * xi_value(alpha, math.exp(w))
+        return 1.0 if math.isinf(x) else x / (1.0 + x)
 
     top = max(ks) * math.log(4.0)
     edges = np.unique(np.concatenate([

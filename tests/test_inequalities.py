@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measure, random_metric_space
+from conftest import README_GRID, random_measure, random_metric_space
 from ineqlab.inequalities import (
     _tau_pieces,
     concentration_check,
@@ -33,7 +33,9 @@ from ineqlab.spaces import (
     exp_entropy,
     grid1d_space,
     grid_adjacency,
+    measure_from_dict,
     relative_entropy,
+    space_from_dict,
     two_point_space,
 )
 from ineqlab.transport import optimal_cost
@@ -494,6 +496,14 @@ class TestConcentration:
         mu = ProbMeasure.uniform(2)
         out = concentration_check(space, mu, 2.0, 1e-4, 1, count=10, seed=2)
         assert not out["holds"]
+
+    def test_oversized_product_rejected_before_allocation(self, no_large_zeros):
+        # order 2 on the README grid: 40401 product points, whose pair
+        # matrix would take 13.1 GB
+        space = space_from_dict(README_GRID)
+        mu = measure_from_dict(README_GRID["measure"], space)
+        with pytest.raises(ValueError, match="40401 product points"):
+            concentration_check(space, mu, 2.0, 300.0, 2)
 
 
 class TestChains:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,14 +220,58 @@ def test_brute_force_size_guard(rng):
                          random_measure(rng, 6), random_measure(rng, 6))
 
 
-def test_tree_edge_gather_matches_per_tree_lists(rng):
-    # brute force and the scanner gather tree edge costs from one cached
-    # index array; the values equal the per-tree list, bit for bit
+def _union_find_trees(n):
+    """Oracle: the spanning trees of K_{n,n}, by filtering the (2n-1)-edge
+    subsets in ``itertools.combinations`` order with a union-find
+    acyclicity check."""
+    edges = [(i, j) for i in range(n) for j in range(n)]
+    trees = []
+    for subset in itertools.combinations(edges, 2 * n - 1):
+        parent = list(range(2 * n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        acyclic = True
+        for (i, j) in subset:
+            ra, rb = find(i), find(n + j)
+            if ra == rb:
+                acyclic = False
+                break
+            parent[ra] = rb
+        if acyclic:
+            trees.append(subset)
+    return trees
+
+
+def _per_tree_solver(tree, n):
+    """Oracle: one tree's incidence matrix without the last target's row,
+    inverted on its own."""
+    a = np.zeros((2 * n, 2 * n - 1))
+    for e, (i, j) in enumerate(tree):
+        a[i, e] = 1.0
+        a[n + j, e] = 1.0
+    return np.linalg.inv(a[:2 * n - 1, :])
+
+
+def test_tree_bases_match_union_find_and_per_tree_inverses(rng):
+    # the batched determinant filter keeps the union-find trees in the same
+    # order, the batched inverses equal the per-tree ones bit for bit, and
+    # the edge-cost gather equals the per-tree lists
     for n in (2, 3, 4):
+        trees = _union_find_trees(n)
+        rows, cols, solvers = transport._tree_bases(n)
+        assert len(trees) == n ** (2 * n - 2) == len(solvers)
+        assert np.array_equal(rows, [[i for (i, _) in t] for t in trees])
+        assert np.array_equal(cols, [[j for (_, j) in t] for t in trees])
+        assert np.array_equal(solvers, np.stack([_per_tree_solver(t, n)
+                                                 for t in trees]))
         costs = cost_matrix(PowerYoung(3, 2), random_metric_space(rng, n))
-        want = np.array([[costs[i, j] for (i, j) in t]
-                         for t in transport._spanning_trees(n, n)])
-        assert np.array_equal(costs[transport._tree_edges(n)], want)
+        want = np.array([[costs[i, j] for (i, j) in t] for t in trees])
+        assert np.array_equal(costs[rows, cols], want)
 
 
 def _sub_tolerance_measure(rng, n):

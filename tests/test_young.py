@@ -322,7 +322,7 @@ def test_load_table_prepends_origin(tmp_path):
 # batched conjugate-slope ratio and the exact table conjugate
 
 
-def _xi_numeric_scalar(alpha, x, overflow=1e12):
+def _xi_numeric_scalar(alpha, x):
     """Oracle: the per-x grid supremum and 80-step ternary refinement."""
     from ineqlab.young import _U_GRID
 
@@ -338,8 +338,6 @@ def _xi_numeric_scalar(alpha, x, overflow=1e12):
     if not np.all(np.isfinite(ratios)):
         return math.inf
     best = float(np.max(ratios))
-    if best > overflow:
-        return math.inf
     k = int(np.argmax(ratios))
     llo = math.log(u[max(k - 1, 0)])
     lhi = math.log(u[min(k + 1, u.size - 1)])
@@ -358,7 +356,7 @@ def _xi_numeric_scalar(alpha, x, overflow=1e12):
         best = max(best, f(math.exp(0.5 * (llo + lhi))))
     except UnboundedConjugateError:
         return math.inf
-    return best if best <= overflow else math.inf
+    return best
 
 
 def _bounded_slope_table():
