@@ -21,8 +21,10 @@ verdicts on a degenerate premise are vacuous passes flagged as such.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -219,32 +221,43 @@ def _potential_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _pair_potentials(ys: np.ndarray) -> np.ndarray:
-    """Both gauge arrangements (0, y) and (y, 0) on a two-point space.
+# rows per block of every dense 2-/3-point scan: the grids are streamed a
+# block at a time and never built whole.  A power of two, so the blocks of the
+# mean's matrix-vector product give every row the same BLAS kernel path as one
+# product over the whole grid
+_MEAN_BLOCK_ROWS = 1 << 12
 
-    Rows (0, y) for every y, then rows (y, 0), laid out point-major: the
-    (B, 2) result is the transpose of a C-ordered (2, B) block, so each
-    point's values form one contiguous column.
+
+def _potential_blocks(*axes):
+    """The gauge family of a dense scan, ``_MEAN_BLOCK_ROWS`` rows at a time.
+
+    One axis ys gives the two-point rows (0, y) for every y, then (y, 0);
+    two axes a, b give the three-point rows (0, a[r // nb], b[r % nb]).
+    Blocks start at multiples of ``_MEAN_BLOCK_ROWS`` and are point-major:
+    the transpose of a C-ordered (n, rows) array, one contiguous column per
+    point.
     """
-    z = np.zeros_like(ys)
-    return np.stack([np.concatenate([z, ys]), np.concatenate([ys, z])]).T
-
-
-def _triple_potentials(step: float, lo=-_POTENTIAL_BOUND, hi=_POTENTIAL_BOUND,
-                       center=None, width=None) -> np.ndarray:
-    """Gauge family (0, a, b) on a three-point space (optionally zoomed).
-
-    Rows run over a, then b, as (B, 3) point-major: the transpose of a
-    C-ordered (3, B) block, one contiguous column per point.
-    """
-    if center is None:
-        a = np.arange(lo, hi + 0.5 * step, step)
-        b = a
+    if len(axes) == 1:
+        ys, = axes
+        total = 2 * ys.size
     else:
-        a = np.arange(center[0] - width, center[0] + width + 0.5 * step, step)
-        b = np.arange(center[1] - width, center[1] + width + 0.5 * step, step)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return np.stack([np.zeros(aa.size), aa.ravel(), bb.ravel()]).T
+        a, b = axes
+        total = a.size * b.size
+    for lo in range(0, total, _MEAN_BLOCK_ROWS):
+        r = np.arange(lo, min(lo + _MEAN_BLOCK_ROWS, total))
+        block = np.zeros((len(axes) + 1, r.size))
+        if len(axes) == 1:
+            first = r < ys.size
+            block[1, first] = ys[r[first]]
+            block[0, ~first] = ys[r[~first] - ys.size]
+        else:
+            block[1], block[2] = a[r // b.size], b[r % b.size]
+        yield block.T
+
+
+def _fold(scan_block, blocks) -> _Scan:
+    """The scan of every row of ``blocks`` in order, one block at a time."""
+    return reduce(_Scan.merge, map(scan_block, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +277,8 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     points): on four and five points a multistart ascent runs from them and
     from the shell rows, priced by :class:`ineqlab.transport.BasisScanner`;
     above five points the starts themselves are scanned by certified LP.
-    Sources below the entropy floor are excluded; the dense scans of two
-    and three points and the LP scan above five points also count them.
+    Sources below the entropy floor are excluded and counted: every dense
+    candidate on two and three points, every structured start above.
 
     On two points the shell is exhaustive: the cost alpha(d) |nu_0 - mu_0|
     is linear and the entropy convex along the segment, zero at mu, so the
@@ -297,11 +310,15 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     mu_w = mu.weights
     shell = search.pair_swap_shell(mu_w, entropy_floor)
     if n <= 3:
-        cands = (shell if n == 2
-                 else np.concatenate([search.simplex_grid(2e-3), shell]))
-        costs = BasisScanner(alpha, space, mu).costs(cands)
-        ents = _entropy_vec(cands, mu_w)
-        scan = _best_ratio(costs, ents, ents >= entropy_floor, cands)
+        scanner = BasisScanner(alpha, space, mu)
+
+        def price(cands):
+            ents = _entropy_vec(cands, mu_w)
+            return _best_ratio(scanner.costs(cands), ents, ents >= entropy_floor,
+                               cands)
+
+        grid = [] if n == 2 else search.simplex_grid(2e-3)
+        scan = _fold(price, itertools.chain(grid, [shell]))
         if scan.ratio == -np.inf:
             notes = ("no candidate above the entropy floor",)
         elif scan.den <= entropy_floor * 16.0:
@@ -314,10 +331,10 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     starts = list(_tilt_starts(space, mu_w))
     starts.extend(search.dirichlet_starts(np.random.default_rng(seed), n,
                                           budget.starts))
+    below = int(np.count_nonzero(_entropy_vec(np.stack(starts), mu_w)
+                                 < entropy_floor))
     if n > 5:
         best, k = _pruned_lp_scan(alpha, space, mu, entropy_floor, starts)
-        below = int(np.count_nonzero(_entropy_vec(np.stack(starts), mu_w)
-                                     < entropy_floor))
         witness, notes = np.asarray(starts[k]), (f"{len(starts)} starts",)
         if best == -np.inf:
             witness, notes = None, ("no candidate above the entropy floor", *notes)
@@ -326,7 +343,7 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     starts.extend(shell)
     best, witness, evals = _transport_ascent(alpha, space, mu, entropy_floor,
                                              starts, budget)
-    return EstimateResult(max(best, 0.0), witness, evals, 0,
+    return EstimateResult(max(best, 0.0), witness, evals, below,
                           "multistart-ascent-scan", notes=(f"{len(starts)} starts",))
 
 
@@ -418,7 +435,9 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
     entropy are *degeneracy witnesses*: the inequality fails for every
     finite A (the true constant is infinite) and the returned value only
     ranks the scanned, positively-damped candidates.  Potentials range over
-    [-20, 0] after the gauge shift, by steps of 1e-3 on two points.
+    [-20, 0] after the gauge shift, by steps of 1e-3 on two points.  The
+    dense scans of two and three points stream their grids a block of rows
+    at a time.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -426,15 +445,17 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
     costs = cost_matrix(alpha, space, lam)
     n = space.size
+    tau = lambda fs: _tau_best(mu.weights, costs, fs)
     if n == 2:
-        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
-        return _tau_best(mu.weights, costs, fs).result("dense-scan-2pt")
+        ys = _potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP)
+        return _fold(tau, _potential_blocks(ys)).result("dense-scan-2pt")
     if n == 3:
-        coarse = _tau_best(mu.weights, costs, _triple_potentials(0.1))
+        axis = _potential_grid(-_POTENTIAL_BOUND, _POTENTIAL_BOUND, 0.1)
+        coarse = _fold(tau, _potential_blocks(axis, axis))
         if coarse.ratio == -np.inf:
             return coarse.result("dense-scan-3pt")
-        zoomed = _triple_potentials(2e-3, center=coarse.row[1:], width=0.12)
-        return coarse.merge(_tau_best(mu.weights, costs, zoomed)).result(
+        zoom = [_potential_grid(c - 0.12, c + 0.12, 2e-3) for c in coarse.row[1:]]
+        return coarse.merge(_fold(tau, _potential_blocks(*zoom))).result(
             "dense-scan-3pt-zoom")
     return _tau_ascent(mu.weights, costs, n, budget or SearchBudget(), seed)
 
@@ -493,10 +514,13 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                          np.where(raw == 0, 0.0, terms))
         return ent, terms.sum(axis=1)
 
-    if space.size == 2:
-        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
+    def ratios(fs):
         ent, den = pieces(fs)
-        scan = _best_ratio(ent, den, (den >= DENOM_FLOOR) & np.isfinite(den), fs)
+        return _best_ratio(ent, den, (den >= DENOM_FLOOR) & np.isfinite(den), fs)
+
+    if space.size == 2:
+        ys = _potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP)
+        scan = _fold(ratios, _potential_blocks(ys))
         return scan.result("dense-scan-2pt-surrogate",
                            () if scan.ratio == -np.inf else ("slope surrogate",))
 
@@ -547,69 +571,66 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     plus the inf-convolution kink offsets +-alpha(d); by 0.05 on three) and
     reports the largest log-gap; a gap above ``gap_tol`` is a violation
     witnessing that the transport inequality at constant 1/c fails on the
-    scanned set.
+    scanned set.  The scan is folded a block of rows at a time, through
+    :meth:`_Scan.merge`, into the first largest gap and a copy of its row,
+    so no full grid is held.
+    Points of zero mass add e^-inf = 0 to the integral; Q still takes its
+    minimum over the whole space.
     """
-    scan = _dual_scan(alpha, space, mu)
-    gaps = _dual_gaps(scan, mu, level)
-    k = int(np.argmax(gaps))
+    log_mu = _log_weights(mu.weights)
+
+    def worst_row(block):
+        fs, qs, means = block
+        gaps = _dual_gaps(qs, means, log_mu, level)
+        k = int(np.argmax(gaps))
+        # a view would keep its block alive
+        return _Scan(gaps[k], fs[k].copy(), np.nan, fs.shape[0], 0)
+
+    worst = _fold(worst_row, _dual_scan(alpha, space, mu))
     return {
         "level": level,
-        "max_log_gap": float(gaps[k]),
-        "violation": bool(gaps[k] > gap_tol),
-        "worst_potential": scan[0][k].copy(),  # a view would keep the grid alive
+        "max_log_gap": float(worst.ratio),
+        "violation": bool(worst.ratio > gap_tol),
+        "worst_potential": worst.row,
         "gap_tol": gap_tol,
-        "n_candidates": int(scan[0].shape[0]),
+        "n_candidates": worst.rows,
     }
 
 
-# rows per block of the mean's matrix-vector product, the inf-convolution and
-# the gaps; a power of two, so every row takes the same BLAS kernel path as in
-# one product over the whole grid
-_MEAN_BLOCK_ROWS = 1 << 12
-
-
 def _dual_scan(alpha, space, mu):
-    """The level-free part of the dual scan: the point-major potentials,
-    their inf-convolutions and their mu-means.
+    """The level-free part of the dual scan, one block of rows at a time:
+    each point-major block of potentials, its inf-convolutions and its
+    mu-means.
 
-    The means are row-major BLAS products of C-ordered rows, as a (B, n)
-    C grid would give them; a column-major product rounds differently in
-    the last bit.  The rows are copied, and their inf-convolutions taken,
-    a block at a time into preallocated outputs, so no second full grid
-    and no full-grid temporary is made.
+    The means are row-major BLAS products of C-ordered copies of the
+    blocks, as a (B, n) C grid would give them; a column-major product
+    rounds differently in the last bit.
     """
     costs = cost_matrix(alpha, space)
     if space.size == 2:
         ys = _potential_grid(-_POTENTIAL_BOUND, _POTENTIAL_BOUND, _PAIR_STEP)
         kinks = costs[0, 1] * np.array([-1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
-        fs = _pair_potentials(np.concatenate([ys, kinks]))
+        axes = (np.concatenate([ys, kinks]),)
     elif space.size == 3:
-        fs = _triple_potentials(0.05)
+        axis = _potential_grid(-_POTENTIAL_BOUND, _POTENTIAL_BOUND, 0.05)
+        axes = (axis, axis)
     else:
         raise ValueError("dense dual scan provided for 2- and 3-point spaces")
-    qs, means = np.empty_like(fs), np.empty(fs.shape[0])
-    for lo in range(0, fs.shape[0], _MEAN_BLOCK_ROWS):
-        block = fs[lo:lo + _MEAN_BLOCK_ROWS]
-        means[lo:lo + _MEAN_BLOCK_ROWS] = np.ascontiguousarray(block) @ mu.weights
-        qs[lo:lo + _MEAN_BLOCK_ROWS] = _q_rows(costs, block)
-    return fs, qs, means
+    for fs in _potential_blocks(*axes):
+        yield fs, _q_rows(costs, fs), np.ascontiguousarray(fs) @ mu.weights
 
 
-def _dual_gaps(scan, mu: ProbMeasure, level: float) -> np.ndarray:
-    """log int e^{c Qf} dmu - c mu(f) for every potential of a dual scan.
+def _dual_gaps(qs, means, log_mu, level: float) -> np.ndarray:
+    """log int e^{c Qf} dmu - c mu(f) for each row of a dual-scan block."""
+    a = level * qs
+    a += log_mu
+    return _logsumexp_rows(a) - level * means
 
-    The exponents and their log-sum-exp are taken ``_MEAN_BLOCK_ROWS`` rows
-    at a time, so only the per-row gaps outlive a block.
-    """
-    _, qs, means = scan
-    log_mu = np.log(mu.weights)
-    gaps = np.empty(qs.shape[0])
-    for lo in range(0, qs.shape[0], _MEAN_BLOCK_ROWS):
-        hi = lo + _MEAN_BLOCK_ROWS
-        a = level * qs[lo:hi]
-        a += log_mu
-        gaps[lo:hi] = _logsumexp_rows(a) - level * means[lo:hi]
-    return gaps
+
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    """log mu, -inf at zero mass: such a point adds exactly e^-inf = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(w)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -625,11 +646,14 @@ def largest_passing_dual_level(alpha: YoungFunction, space: FiniteMetricSpace,
                                rel_precision: float = 1e-4) -> float:
     """Largest c whose dual check stays within the gap tolerance (bisection).
 
-    The potentials, their inf-convolutions and means are level-free and are
-    computed once; each level evaluates only the log-sum-exp.
+    The inf-convolutions and means of the potentials are level-free: they
+    are kept, block by block, from one streamed scan, and the potentials
+    themselves are dropped.  Each level evaluates only the log-sum-exp.
     """
-    scan = _dual_scan(alpha, space, mu)
-    violates = lambda level: _dual_gaps(scan, mu, level).max() > gap_tol
+    log_mu = _log_weights(mu.weights)
+    kept = [(qs, means) for _, qs, means in _dual_scan(alpha, space, mu)]
+    violates = lambda level: max(_dual_gaps(qs, means, log_mu, level).max()
+                                 for qs, means in kept) > gap_tol
     lo, hi = 1e-10, 1.0
     while not violates(hi):
         lo = hi
@@ -674,7 +698,7 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
         q = _q_rows(costs, moved.reshape(-1, space.size))
         g = np.moveaxis(q.reshape(moved.shape), -1, axis)
     pf = -g.reshape(count, prod.size)
-    log_lhs = _logsumexp_rows(np.log(weights) + tau * pf)
+    log_lhs = _logsumexp_rows(_log_weights(weights) + tau * pf)
     sup = np.abs(fs.reshape(count, prod.size)).max(axis=1)
     gaps = (log_lhs - (math.log(a) + b * (weights * pf).sum(axis=1)
                        + tau * c_norm * sup))
@@ -786,24 +810,28 @@ def _violation_ratio_tau(alpha, space, mu, scales, abs_tol):
     (lambda, A) in ``scales``: a list of (ratio, worst potential) pairs,
     and the number of potentials scanned per pair.
 
-    The potentials form one point-major grid.  Its gauge shift, weights
-    mu e^f, masses and entropies do not depend on lambda and are computed
-    once; each (lambda, A) adds only the inf-convolution and the defect.
+    The potentials are streamed a block of rows at a time.  A block's gauge
+    shift, weights mu e^f and entropies do not depend on lambda and are
+    computed once; each (lambda, A) adds only the inf-convolution and the
+    defect, and keeps its first best row as a copy.
     """
     if space.size == 2:
-        fs = _pair_potentials(_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP))
+        axes = (_potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP),)
     elif space.size == 3:
-        fs = _triple_potentials(0.05)
+        axis = _potential_grid(-_POTENTIAL_BOUND, _POTENTIAL_BOUND, 0.05)
+        axes = (axis, axis)
     else:
         raise ValueError("dense chain checks provided for 2-3 point spaces")
-    gauged, raw, ent = _gauge_entropy(mu.weights, fs)
-    found = []
-    for lam, amax in scales:
-        defect = _defect(cost_matrix(alpha, space, lam), gauged, raw)
-        ratios = ent / (amax * defect + abs_tol)
-        k = int(np.argmax(ratios))
-        found.append((float(ratios[k]), fs[k]))
-    return found, fs.shape[0]
+    costs = [cost_matrix(alpha, space, lam) for lam, _ in scales]
+
+    def scan(fs):
+        gauged, raw, ent = _gauge_entropy(mu.weights, fs)
+        return [_best_ratio(ent, amax * _defect(c, gauged, raw) + abs_tol, True, fs)
+                for c, (_, amax) in zip(costs, scales)]
+
+    found = reduce(lambda a, b: list(map(_Scan.merge, a, b)),
+                   map(scan, _potential_blocks(*axes)))
+    return [(float(f.ratio), f.row) for f in found], found[0].rows
 
 
 def _chain_transport_to_tau(alpha, space, mu, seed, rel_tol, abs_tol, fractions):

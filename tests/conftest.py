@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -57,3 +59,14 @@ def no_large_zeros(monkeypatch):
         return real(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", zeros)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of Python-tracked memory (numpy buffers included) held at
+    once while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import README_GRID, random_measure, random_metric_space
+from conftest import README_GRID, random_measure, random_metric_space, traced_peak
 from ineqlab.inequalities import (
     _tau_pieces,
     concentration_check,
@@ -250,7 +249,8 @@ def test_pruned_lp_scan_ties_go_to_earliest_start(rng):
 
 
 def _lp_starts(space, mu, seed=0):
-    """The structured starts of the LP path under the default budget."""
+    """The structured starts (tilts, then seeded Dirichlet points) under the
+    default budget."""
     starts = list(inequalities._tilt_starts(space, mu.weights))
     starts.extend(search.dirichlet_starts(np.random.default_rng(seed), space.size,
                                           SearchBudget().starts))
@@ -279,6 +279,20 @@ def test_lp_scan_counts_starts_below_floor():
     assert est.value > 0.0
     assert relative_entropy(ProbMeasure(est.witness), mu) >= floor
     assert est.notes == (f"{len(ents)} starts",)
+
+
+def test_ascent_counts_starts_below_floor():
+    # four points take the scanner ascent, not the LP scan, and count the
+    # structured starts below the floor the same way
+    space, mu = grid1d_space(4, 0.5), ProbMeasure.uniform(4)
+    floor = 0.05
+    starts = _lp_starts(space, mu)
+    below = sum(relative_entropy(ProbMeasure(s), mu) < floor for s in starts)
+    assert 0 < below < len(starts)
+    est = transport_constant_estimate(PowerYoung(2, 2), space, mu, entropy_floor=floor,
+                                      budget=SearchBudget(iterations=5))
+    assert est.method == "multistart-ascent-scan"
+    assert est.n_excluded == below
 
 
 @pytest.mark.parametrize("kind", ["grid1d", "planar"])
@@ -479,6 +493,31 @@ def test_tensor_dual_matches_per_potential_loop(size, n, count, cost, tau, b, c_
     assert got == _tensor_dual_loop(PowerYoung(*cost), space, mu, **kwargs)
     if count == 0:
         assert (got["max_log_gap"], got["worst_potential_max"]) == (-math.inf, None)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5, 0.0),
+                                     (0.0, 0.3, 0.7), (0.0, 0.0, 1.0)],
+                         ids=["dirac-2pt", "dirac-2pt-last", "partial-3pt",
+                              "partial-3pt-first", "dirac-3pt"])
+def test_dual_checks_on_zero_mass_points(weights, rng):
+    # a zero-mass point adds e^-inf = 0 to the moment integral, with no
+    # divide-by-zero warning (warnings are errors here), while Q still
+    # takes its minimum over the whole space
+    n = len(weights)
+    space, mu = random_metric_space(rng, n), ProbMeasure(np.array(weights))
+    alpha, level = PowerYoung(2, 2), 0.7
+    out = dual_check(alpha, space, mu, level)
+    f = out["worst_potential"]
+    qf = infconv._q_rows(transport.cost_matrix(alpha, space), f[None, :])[0]
+    on = mu.weights > 0
+    want = (np.logaddexp.reduce(np.log(mu.weights[on]) + level * qf[on])
+            - level * float(f[on] @ mu.weights[on]))
+    assert out["max_log_gap"] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert largest_passing_dual_level(alpha, space, mu, rel_precision=1e-2) > 0.0
+    kwargs = dict(tau=level, a=1.0, b=level, c_norm=0.0, count=8, seed=1)
+    with np.errstate(divide="ignore"):
+        want = _tensor_dual_loop(alpha, space, mu, **kwargs)
+    assert tensor_dual_check(alpha, space, mu, **kwargs) == want
 
 
 class TestConcentration:
@@ -757,13 +796,7 @@ def test_pair_kernels_bounded_memory(rng):
     # temporaries, and objective calls are split by row count, so a whole
     # lock-step round stays far below its unblocked (rows, n, n) size
     for estimate in _large_pair_estimates(rng):
-        tracemalloc.start()
-        try:
-            estimate()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 2 ** 20
+        assert traced_peak(estimate) < 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("kind", ["mlsi_global", "tau"])
@@ -834,6 +867,214 @@ def _scan_fields(est):
             est.degenerate_witnesses, est.degenerate_entropy, est.notes)
 
 
+# the full-grid builders and scans the streamed scans replaced, kept as the
+# oracle: every streamed scan must give their values, witnesses and counts
+# bit for bit
+
+
+def _pair_potentials(ys):
+    """Rows (0, y) for every y, then (y, 0), as one point-major grid."""
+    z = np.zeros_like(ys)
+    return np.stack([np.concatenate([z, ys]), np.concatenate([ys, z])]).T
+
+
+def _triple_rows(a, b):
+    """Rows (0, a, b) over a, then b, as one point-major grid."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return np.stack([np.zeros(aa.size), aa.ravel(), bb.ravel()]).T
+
+
+def _triple_potentials(step, lo=-20.0, hi=20.0, center=None, width=None):
+    if center is None:
+        a = b = np.arange(lo, hi + 0.5 * step, step)
+    else:
+        a = np.arange(center[0] - width, center[0] + width + 0.5 * step, step)
+        b = np.arange(center[1] - width, center[1] + width + 0.5 * step, step)
+    return _triple_rows(a, b)
+
+
+def _full_dual_scan(alpha, space, mu):
+    costs = transport.cost_matrix(alpha, space)
+    if space.size == 2:
+        ys = inequalities._potential_grid(-20.0, 20.0, 1e-3)
+        kinks = costs[0, 1] * np.array([-1.0 - 1e-9, -1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
+        fs = _pair_potentials(np.concatenate([ys, kinks]))
+    else:
+        fs = _triple_potentials(0.05)
+    block = 1 << 12
+    qs, means = np.empty_like(fs), np.empty(fs.shape[0])
+    for lo in range(0, fs.shape[0], block):
+        means[lo:lo + block] = np.ascontiguousarray(fs[lo:lo + block]) @ mu.weights
+        qs[lo:lo + block] = infconv._q_rows(costs, fs[lo:lo + block])
+    return fs, qs, means
+
+
+def _full_dual_gaps(scan, mu, level):
+    _, qs, means = scan
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu.weights)
+    gaps, block = np.empty(qs.shape[0]), 1 << 12
+    for lo in range(0, qs.shape[0], block):
+        a = level * qs[lo:lo + block]
+        a += log_mu
+        gaps[lo:lo + block] = (inequalities._logsumexp_rows(a)
+                               - level * means[lo:lo + block])
+    return gaps
+
+
+def _full_dual_check(alpha, space, mu, level):
+    """(largest gap, its row, rows scanned) of the full-grid dual scan."""
+    scan = _full_dual_scan(alpha, space, mu)
+    gaps = _full_dual_gaps(scan, mu, level)
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), scan[0][k], scan[0].shape[0]
+
+
+def _full_dual_level(alpha, space, mu, rel_precision):
+    scan = _full_dual_scan(alpha, space, mu)
+    violates = lambda level: _full_dual_gaps(scan, mu, level).max() > search.DUAL_GAP_TOL
+    lo, hi = 1e-10, 1.0
+    while not violates(hi):
+        lo, hi = hi, hi * 2.0
+        if hi > 1e8:
+            return lo
+    while hi / lo > 1.0 + rel_precision:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if violates(mid) else (mid, hi)
+    return lo
+
+
+def _full_tau(alpha, lam, space, mu):
+    costs = transport.cost_matrix(alpha, space, lam)
+    if space.size == 2:
+        fs = _pair_potentials(inequalities._potential_grid(-20.0, 0.0, 1e-3))
+        return inequalities._tau_best(mu.weights, costs, fs).result("dense-scan-2pt")
+    coarse = inequalities._tau_best(mu.weights, costs, _triple_potentials(0.1))
+    if coarse.ratio == -np.inf:
+        return coarse.result("dense-scan-3pt")
+    zoomed = _triple_potentials(2e-3, center=coarse.row[1:], width=0.12)
+    return coarse.merge(inequalities._tau_best(mu.weights, costs, zoomed)).result(
+        "dense-scan-3pt-zoom")
+
+
+def _full_mlsi(alpha, space, mu):
+    fs = _pair_potentials(inequalities._potential_grid(-20.0, 0.0, 1e-3))
+    gauged, raw, ent = _gauge_entropy(mu.weights, fs)
+    conj = np.asarray(alpha.conjugate(inequalities.slope_vector(space, gauged, "+", None)),
+                      dtype=float)
+    with np.errstate(invalid="ignore"):
+        terms = raw * conj
+    den = np.where((raw > 0) & ~np.isfinite(conj), np.inf,
+                   np.where(raw == 0, 0.0, terms)).sum(axis=1)
+    scan = inequalities._best_ratio(ent, den, (den >= search.DENOM_FLOOR)
+                                    & np.isfinite(den), fs)
+    return scan.result("dense-scan-2pt-surrogate",
+                       () if scan.ratio == -np.inf else ("slope surrogate",))
+
+
+def _simplex_grid(step):
+    a = np.arange(step, 1.0, step)
+    w0, w1 = np.meshgrid(a, a, indexing="ij")
+    mask = w0 + w1 < 1.0 - 1e-9
+    w0, w1 = w0[mask], w1[mask]
+    return np.column_stack([w0, w1, 1.0 - w0 - w1])
+
+
+def _full_transport(alpha, space, mu, floor=ENTROPY_FLOOR):
+    shell = search.pair_swap_shell(mu.weights, floor)
+    cands = shell if space.size == 2 else np.concatenate([_simplex_grid(2e-3), shell])
+    costs = transport.BasisScanner(alpha, space, mu).costs(cands)
+    ents = _entropy_vec(cands, mu.weights)
+    scan = inequalities._best_ratio(costs, ents, ents >= floor, cands)
+    if scan.ratio == -np.inf:
+        notes = ("no candidate above the entropy floor",)
+    elif scan.den <= floor * 16.0:
+        notes = ("supremum attained near the entropy floor: the unfloored "
+                 "supremum diverges",)
+    else:
+        notes = ()
+    return scan.result(f"dense-scan-{space.size}pt", notes)
+
+
+def _full_violation_ratio_tau(alpha, space, mu, scales, abs_tol):
+    if space.size == 2:
+        fs = _pair_potentials(inequalities._potential_grid(-20.0, 0.0, 1e-3))
+    else:
+        fs = _triple_potentials(0.05)
+    gauged, raw, ent = _gauge_entropy(mu.weights, fs)
+    found = []
+    for lam, amax in scales:
+        defect = inequalities._defect(transport.cost_matrix(alpha, space, lam), gauged, raw)
+        ratios = ent / (amax * defect + abs_tol)
+        k = int(np.argmax(ratios))
+        found.append((float(ratios[k]), fs[k]))
+    return found, fs.shape[0]
+
+
+def _same_witness(a, b):
+    return a is None and b is None or np.array_equal(a, b)
+
+
+_ORACLE_CASES = pytest.mark.parametrize(
+    "n,tied", [(2, False), (2, True), (3, False), (3, True)],
+    ids=["2pt", "2pt-tied", "3pt", "3pt-tied"])
+
+
+def _oracle_space(n, tied, seed):
+    """A random space and measure, or the tied one: all distances 1 and
+    uniform mu, where many rows have equal value and the first must win."""
+    if tied:
+        return (FiniteMetricSpace(tuple("abc"[:n]), np.ones((n, n)) - np.eye(n)),
+                ProbMeasure.uniform(n))
+    rng = np.random.default_rng(seed)
+    return random_metric_space(rng, n), random_measure(rng, n)
+
+
+@_ORACLE_CASES
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**16),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]),
+       level=st.floats(1e-3, 5.0), lam=st.floats(1e-3, 20.0),
+       frac=st.floats(0.05, 0.95))
+def test_streamed_scans_match_full_grid_oracle(n, tied, seed, pair, level, lam, frac):
+    # every dense scan, folded a block at a time, gives the full-grid scan's
+    # values, witnesses and counts bit for bit
+    space, mu = _oracle_space(n, tied, seed)
+    alpha = PowerYoung(*pair)
+    out = dual_check(alpha, space, mu, level)
+    gap, row, rows = _full_dual_check(alpha, space, mu, level)
+    assert (out["max_log_gap"], out["n_candidates"]) == (gap, rows)
+    assert np.array_equal(out["worst_potential"], row)
+    pairs = [(tau_lsi_constant_estimate(alpha, lam, space, mu),
+              _full_tau(alpha, lam, space, mu)),
+             (transport_constant_estimate(alpha, space, mu),
+              _full_transport(alpha, space, mu))]
+    if n == 2:
+        pairs.append((mlsi_constant_estimate(alpha, space, mu), _full_mlsi(alpha, space, mu)))
+    for got, want in pairs:
+        assert _scan_fields(got) == _scan_fields(want)
+        assert _same_witness(got.witness, want.witness)
+    # the transport-to-tau chain's scales, from the scan constant and at lam
+    cstar = pairs[1][1].value
+    scales = [(lam, 1.0 / (1.0 - frac)), (frac / cstar, (1.0 + 1e-6) / (1.0 - frac))]
+    got, got_rows = inequalities._violation_ratio_tau(alpha, space, mu, scales, 1e-6)
+    want, want_rows = _full_violation_ratio_tau(alpha, space, mu, scales, 1e-6)
+    assert got_rows == want_rows
+    assert [r for r, _ in got] == [r for r, _ in want]
+    assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+
+
+@_ORACLE_CASES
+def test_streamed_dual_level_matches_full_grid_oracle(n, tied):
+    # the bisection runs a scan per level, so one space and cost per case
+    space, mu = _oracle_space(n, tied, seed=20241019)
+    precision = 1e-4 if n == 2 else 1e-2
+    for alpha in [PowerYoung(3.0, 2.0)] if n == 3 else [PowerYoung(2.0, 2.0),
+                                                        PowerYoung(2.0, 1.5)]:
+        assert (largest_passing_dual_level(alpha, space, mu, rel_precision=precision)
+                == _full_dual_level(alpha, space, mu, precision))
+
+
 @settings(max_examples=6)
 @given(seed=st.integers(0, 2**16), lam=st.sampled_from([1e-3, 0.05, 1.0, 20.0]),
        pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.0)]))
@@ -845,12 +1086,12 @@ def test_tau_zoom_merge_equals_concatenated_scan(seed, lam, pair):
     alpha = PowerYoung(*pair)
     est = tau_lsi_constant_estimate(alpha, lam, space, mu)
     costs = transport.cost_matrix(alpha, space, lam)
-    coarse = inequalities._triple_potentials(0.1, -20.0, 20.0)
+    coarse = _triple_potentials(0.1, -20.0, 20.0)
     first = inequalities._tau_best(mu.weights, costs, coarse).result("dense-scan-3pt")
     if first.witness is None:
         assert _scan_fields(est) == _scan_fields(first) and est.witness is None
         return
-    zoomed = inequalities._triple_potentials(2e-3, center=first.witness[1:], width=0.12)
+    zoomed = _triple_potentials(2e-3, center=first.witness[1:], width=0.12)
     want = inequalities._tau_best(mu.weights, costs, np.concatenate([coarse, zoomed]))
     want = want.result("dense-scan-3pt-zoom")
     assert _scan_fields(est) == _scan_fields(want)
@@ -956,23 +1197,22 @@ def test_kernels_match_row_major_oracle_on_grids(seed, n, step, zoom):
     space, mu = random_metric_space(rng, n), random_measure(rng, n)
     costs = transport.cost_matrix(PowerYoung(3, 2), space, float(rng.uniform(0.01, 3.0)))
     if n == 2:
-        fs = inequalities._pair_potentials(inequalities._potential_grid(-20.0, 0.0, step / 10))
+        fs = _pair_potentials(inequalities._potential_grid(-20.0, 0.0, step / 10))
     elif zoom:
-        fs = inequalities._triple_potentials(step / 50, center=rng.uniform(-5.0, 5.0, 2),
-                                             width=0.12)
+        fs = _triple_potentials(step / 50, center=rng.uniform(-5.0, 5.0, 2), width=0.12)
     else:
-        fs = inequalities._triple_potentials(step, -20.0, 20.0)
+        fs = _triple_potentials(step, -20.0, 20.0)
     _assert_kernels_match_row_major(mu.weights, costs, fs, float(rng.uniform(1e-3, 2.0)))
 
 
 def test_dense_grids_are_point_major(rng):
-    # one contiguous column per point: the grid builders and the kernels'
+    # one contiguous column per point: the streamed blocks and the kernels'
     # outputs keep that layout, so column passes stay contiguous
-    grids = [inequalities._pair_potentials(np.linspace(-3.0, 0.0, 31)),
-             inequalities._triple_potentials(0.5, -4.0, 4.0),
-             inequalities._triple_potentials(0.01, center=(0.3, -0.2), width=0.12),
-             inequalities._dual_scan(PowerYoung(2, 2), random_metric_space(rng, 3),
-                                     random_measure(rng, 3))[0]]
+    grids = [next(inequalities._potential_blocks(np.linspace(-3.0, 0.0, 31))),
+             next(inequalities._potential_blocks(np.linspace(-4.0, 4.0, 17),
+                                                 np.linspace(-1.0, 1.0, 9))),
+             next(inequalities._dual_scan(PowerYoung(2, 2), random_metric_space(rng, 3),
+                                          random_measure(rng, 3)))[0]]
     for fs in grids:
         assert fs.flags.f_contiguous and not fs.flags.c_contiguous
         n = fs.shape[1]
@@ -982,20 +1222,39 @@ def test_dense_grids_are_point_major(rng):
         assert gauged.flags.f_contiguous and raw.flags.f_contiguous
 
 
+@pytest.mark.parametrize("axes", [(np.linspace(-3.0, 0.0, 31),),
+                                  (inequalities._potential_grid(-20.0, 20.0, 1e-3),),
+                                  (np.linspace(-4.0, 4.0, 17), np.linspace(-1.0, 1.0, 9)),
+                                  (inequalities._potential_grid(-20.0, 20.0, 0.05),) * 2],
+                         ids=["pair", "pair-dual", "triple", "triple-dual"])
+def test_potential_blocks_are_the_full_grid(axes):
+    # the blocks hold the builders' rows in order, bit for bit, and start at
+    # multiples of the block size, where the blocked BLAS means start
+    blocks = list(inequalities._potential_blocks(*axes))
+    want = (_pair_potentials(*axes) if len(axes) == 1
+            else _triple_rows(*axes))
+    assert np.array_equal(np.concatenate(blocks), want)
+    sizes = [fs.shape[0] for fs in blocks]
+    assert all(size == inequalities._MEAN_BLOCK_ROWS for size in sizes[:-1])
+    assert 0 < sizes[-1] <= inequalities._MEAN_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dual_check_matches_row_major_scan(n, rng):
-    # the whole gap vector of the point-major scan equals the row-major
-    # scan's, means from the row-major BLAS product included
+    # the whole gap vector of the streamed point-major scan equals the
+    # row-major scan's, means from the row-major BLAS product included
     space, mu = random_metric_space(rng, n), random_measure(rng, n)
     alpha, level = PowerYoung(2, 2), 0.03
-    fs, qs, means = inequalities._dual_scan(alpha, space, mu)
-    rows = np.ascontiguousarray(fs)
-    assert np.array_equal(means, rows @ mu.weights)
+    log_mu = np.log(mu.weights)
+    blocks = list(inequalities._dual_scan(alpha, space, mu))
+    rows = np.ascontiguousarray(np.concatenate([fs for fs, _, _ in blocks]))
+    assert np.array_equal(np.concatenate([m for _, _, m in blocks]), rows @ mu.weights)
     want = _logsumexp_rows_row_major(
-        np.log(mu.weights)[None, :]
+        log_mu[None, :]
         + level * _q_rows_row_major(transport.cost_matrix(alpha, space), rows))
     want -= level * (rows @ mu.weights)
-    got = inequalities._dual_gaps((fs, qs, means), mu, level)
+    got = np.concatenate([inequalities._dual_gaps(qs, means, log_mu, level)
+                          for _, qs, means in blocks])
     assert np.array_equal(got, want)
     out = dual_check(alpha, space, mu, level)
     k = int(np.argmax(want))
@@ -1004,18 +1263,33 @@ def test_dual_check_matches_row_major_scan(n, rng):
 
 
 def test_three_point_dual_check_memory(rng):
-    # the inf-convolution and the gaps are taken a block of rows at a time,
-    # so the check holds no full (641,601 x 3) temporary beside the grid and
-    # its inf-convolution (14.7 MiB each), the means and the gaps (4.9 MiB
-    # each); four full grids at once took 78 MiB
+    # the grid is streamed a block of rows at a time and folded into the
+    # running largest gap, so no full (641,601 x 3) grid, inf-convolution
+    # or gap vector is ever held: the full-grid scan peaked at 39.4 MiB
     space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
-    tracemalloc.start()
-    try:
-        dual_check(PowerYoung(2, 2), space, mu, 0.03)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 42 * 2**20
+    assert traced_peak(lambda: dual_check(PowerYoung(2, 2), space, mu, 0.03)) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("scan", ["tau", "chain", "transport"])
+def test_three_point_scan_memory(scan, rng):
+    # the tau scan, the transport-to-tau chain's violation scan and the
+    # transport scan's simplex grid are streamed too; their full grids
+    # peaked at 19.6, 88.1 and 14.3 MiB
+    space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
+    alpha = PowerYoung(2, 2)
+    run = {"tau": lambda: tau_lsi_constant_estimate(alpha, 0.3, space, mu),
+           "chain": lambda: verify_chain(alpha, space, mu, "transport-to-tau-lsi"),
+           "transport": lambda: transport_constant_estimate(alpha, space, mu)}[scan]
+    assert traced_peak(run) <= 4 * 2**20
+
+
+def test_dual_level_memory(rng):
+    # the bisection keeps the level-free inf-convolutions and means of the
+    # 641,601 rows (14.7 and 4.9 MiB), not the potentials (full grid: 39.4 MiB)
+    space, mu = random_metric_space(rng, 3), random_measure(rng, 3)
+    peak = traced_peak(lambda: largest_passing_dual_level(PowerYoung(2, 2), space, mu,
+                                                          rel_precision=1e-2))
+    assert peak <= 22 * 2**20
 
 
 def test_dual_level_bisection_matches_dual_check_bisection(rng):
