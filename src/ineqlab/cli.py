@@ -122,6 +122,14 @@ def _build_space_and_measure(cfg) -> tuple[FiniteMetricSpace, ProbMeasure]:
         raise ConfigError(f"invalid measure: {exc}") from exc
 
 
+def _adjacency(cfg, space):
+    """Grid neighbours under ``--slope-mode neighbors``; None (the global
+    slope) otherwise."""
+    if cfg.get("slope-mode", "global") == "neighbors":
+        return grid_adjacency(space.size)
+    return None
+
+
 def _out_paths(cfg, stem):
     outdir = cfg.get("output-dir", ".")
     os.makedirs(outdir, exist_ok=True)
@@ -214,11 +222,9 @@ def _cmd_estimate(cfg) -> int:
         est = inequalities.tau_lsi_constant_estimate(
             alpha, float(cfg.get("lambda", 1.0)), space, mu, seed=seed)
     elif which == "mLSI":
-        adjacency = None
-        if cfg.get("slope-mode", "global") == "neighbors":
-            adjacency = grid_adjacency(space.size)
         est = inequalities.mlsi_constant_estimate(
-            alpha, space, mu, cfg.get("sign", "+"), adjacency, seed=seed)
+            alpha, space, mu, cfg.get("sign", "+"), _adjacency(cfg, space),
+            seed=seed)
     else:
         raise ConfigError(f"unknown estimate target {which!r}")
     payload = {"target": which, "value": est.value, "method": est.method,
@@ -243,13 +249,10 @@ def _cmd_verify(cfg) -> int:
     space, mu = _build_space_and_measure(cfg)
     which = cfg["chain"]
     if which in _CHAIN_NAMES:
-        adjacency = None
-        if cfg.get("slope-mode", "global") == "neighbors":
-            adjacency = grid_adjacency(space.size)
         report = inequalities.verify_chain(
             alpha, space, mu, _CHAIN_NAMES[which], seed=seed,
             lam=float(cfg.get("lambda", 1.0)), sign=cfg.get("sign", "+"),
-            adjacency=adjacency)
+            adjacency=_adjacency(cfg, space))
         return _finish(cfg, f"verify-{which}", report.as_dict(), seed,
                        verdict=report.verdict)
     if which == "holley-stroock":
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="constant bundle for (alpha, A, lambda)")
     common(p)
     p.add_argument("--A", help="premise constant")
-    p.add_argument("--lambda", dest="lambda_", help="inf-convolution scale")
+    p.add_argument("--lambda", help="inf-convolution scale")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("transport", help="one optimal transport solve")
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="constant estimators")
     common(p)
     p.add_argument("target", choices=["T", "tauLSI", "mLSI"])
-    p.add_argument("--lambda", dest="lambda_", help="inf-convolution scale")
+    p.add_argument("--lambda", help="inf-convolution scale")
     p.add_argument("--sign", choices=["+", "-"])
     p.add_argument("--slope-mode", dest="slope_mode", choices=["global", "neighbors"])
     p.set_defaults(func=_cmd_estimate)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chain", choices=["T-to-tauLSI", "tauLSI-to-T", "lsi-to-T",
                                      "holley-stroock", "dual", "tensor-dual",
                                      "concentration"])
-    p.add_argument("--lambda", dest="lambda_", help="inf-convolution scale")
+    p.add_argument("--lambda", help="inf-convolution scale")
     p.add_argument("--sign", choices=["+", "-"])
     p.add_argument("--slope-mode", dest="slope_mode", choices=["global", "neighbors"])
     p.add_argument("--level", help="dual exponential-moment level c")
@@ -391,10 +394,7 @@ def main(argv=None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if "lambda-" in cfg:  # argparse dest mangling for the reserved word
-            cfg["lambda"] = cfg.pop("lambda-")
-        return args.func(cfg)
+        return args.func(_load_config(args))
     except (UnboundedConjugateError, Delta2ViolationError, ThresholdZeroError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -192,14 +192,20 @@ class _Scan(NamedTuple):
                               notes=notes)
 
 
+def _ratios(num, den, ok) -> np.ndarray:
+    """The floored ratio of every estimate: num/den where ``ok``, -inf
+    elsewhere."""
+    return np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
+
+
 def _best_ratio(num, den, ok, rows, degenerate=None) -> _Scan:
-    """The row of ``rows`` with the largest num/den among the ``ok`` ones
-    (the first on ties); the others count as skipped.  ``degenerate`` marks
+    """The row of ``rows`` with the largest of :func:`_ratios` (the first on
+    ties); the rows not ``ok`` count as skipped.  ``degenerate`` marks
     skipped rows that witness an infinite constant; their largest num is
     kept.  No rows at all give ratio -inf."""
     if not rows.shape[0]:
         return _Scan(-np.inf, None, np.nan, 0, 0)
-    ratios = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
+    ratios = _ratios(num, den, ok)
     k = int(np.argmax(ratios))
     skipped = int(np.size(ok) - np.count_nonzero(ok))
     row = rows[k].copy()  # a view would keep the whole scan alive
@@ -260,6 +266,15 @@ def _fold(scan_block, blocks) -> _Scan:
     return reduce(_Scan.merge, map(scan_block, blocks))
 
 
+def _ascend(parts, starts, project, budget, excluded) -> _Scan:
+    """Multistart ascent of :func:`_ratios` of ``parts`` from ``starts``:
+    every evaluated row counts, ``excluded`` starts are skipped, and the
+    row is the best point (none when no start has a finite value)."""
+    best, row, evals = search.multistart_maximize(
+        lambda rows: _ratios(*parts(rows)), starts, project, budget)
+    return _Scan(best, row, np.nan, evals, excluded)
+
+
 # ---------------------------------------------------------------------------
 # transport constant
 
@@ -279,6 +294,10 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     above five points the starts themselves are scanned by certified LP.
     Sources below the entropy floor are excluded and counted: every dense
     candidate on two and three points, every structured start above.
+
+    The dense scans and the ascent score a candidate by one rule, cost /
+    entropy at or above the floor and -inf below it; the scanner prices
+    every candidate either evaluates, each row on its own.
 
     On two points the shell is exhaustive: the cost alpha(d) |nu_0 - mu_0|
     is linear and the entropy convex along the segment, zero at mu, so the
@@ -309,16 +328,16 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     n = space.size
     mu_w = mu.weights
     shell = search.pair_swap_shell(mu_w, entropy_floor)
-    if n <= 3:
+    if n <= 5:
         scanner = BasisScanner(alpha, space, mu)
 
-        def price(cands):
-            ents = _entropy_vec(cands, mu_w)
-            return _best_ratio(scanner.costs(cands), ents, ents >= entropy_floor,
-                               cands)
-
+        def parts(nus):
+            ents = _entropy_vec(nus, mu_w)
+            return scanner.costs(nus), ents, ents >= entropy_floor
+    if n <= 3:
         grid = [] if n == 2 else search.simplex_grid(2e-3)
-        scan = _fold(price, itertools.chain(grid, [shell]))
+        scan = _fold(lambda rows: _best_ratio(*parts(rows), rows),
+                     itertools.chain(grid, [shell]))
         if scan.ratio == -np.inf:
             notes = ("no candidate above the entropy floor",)
         elif scan.den <= entropy_floor * 16.0:
@@ -335,16 +354,14 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
                                  < entropy_floor))
     if n > 5:
         best, k = _pruned_lp_scan(alpha, space, mu, entropy_floor, starts)
-        witness, notes = np.asarray(starts[k]), (f"{len(starts)} starts",)
+        notes = (f"{len(starts)} starts",)
         if best == -np.inf:
-            witness, notes = None, ("no candidate above the entropy floor", *notes)
-        return EstimateResult(max(best, 0.0), witness, len(starts), below,
-                              "structured-scan-lp", notes=notes)
+            notes = ("no candidate above the entropy floor", *notes)
+        return _Scan(best, np.asarray(starts[k]), np.nan, len(starts),
+                     below).result("structured-scan-lp", notes)
     starts.extend(shell)
-    best, witness, evals = _transport_ascent(alpha, space, mu, entropy_floor,
-                                             starts, budget)
-    return EstimateResult(max(best, 0.0), witness, evals, below,
-                          "multistart-ascent-scan", notes=(f"{len(starts)} starts",))
+    return _ascend(parts, starts, search.project_simplex_interior, budget,
+                   below).result("multistart-ascent-scan", (f"{len(starts)} starts",))
 
 
 def _restrict(space, mu, idx):
@@ -352,24 +369,6 @@ def _restrict(space, mu, idx):
                             space.dist[np.ix_(idx, idx)],
                             None if space.coords is None else space.coords[idx])
     return sub, ProbMeasure(mu.weights[idx] / mu.weights[idx].sum())
-
-
-def _transport_ascent(alpha, space, mu, floor, starts, budget):
-    """Multistart ascent of cost / entropy from ``starts``, every source
-    priced by one dual-vertex table (four and five points)."""
-    mu_w = mu.weights
-    scanner = BasisScanner(alpha, space, mu)
-
-    def objective(nus):
-        ents = _entropy_vec(nus, mu_w)
-        vals = np.full(nus.shape[0], -np.inf)
-        ok = ents >= floor
-        if np.any(ok):
-            vals[ok] = scanner.costs(nus[ok]) / ents[ok]
-        return vals
-
-    project = lambda x: search.project_simplex_interior(x, budget.clamp)
-    return search.multistart_maximize(objective, starts, project, budget)
 
 
 def _pruned_lp_scan(alpha, space, mu, floor, starts):
@@ -437,7 +436,9 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
     ranks the scanned, positively-damped candidates.  Potentials range over
     [-20, 0] after the gauge shift, by steps of 1e-3 on two points.  The
     dense scans of two and three points stream their grids a block of rows
-    at a time.
+    at a time; above three points a multistart ascent runs from seeded
+    uniform starts.  Both score a potential by the same rule: entropy /
+    defect where the defect reaches 1e-14, -inf below it.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -457,29 +458,24 @@ def tau_lsi_constant_estimate(alpha: YoungFunction, lam: float,
         zoom = [_potential_grid(c - 0.12, c + 0.12, 2e-3) for c in coarse.row[1:]]
         return coarse.merge(_fold(tau, _potential_blocks(*zoom))).result(
             "dense-scan-3pt-zoom")
-    return _tau_ascent(mu.weights, costs, n, budget or SearchBudget(), seed)
+    budget = budget or SearchBudget()
+    rng = np.random.default_rng(seed)
+    starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
+    return _ascend(lambda fs: _tau_parts(mu.weights, costs, fs), starts,
+                   _gauge_clip, budget, 0).result("multistart-ascent")
+
+
+def _tau_parts(mu_w, costs, fs):
+    """(entropy, defect, defect above the floor) of each gauge-shifted row."""
+    ent, defect = _tau_pieces(mu_w, costs, fs)
+    return ent, defect, defect >= DENOM_FLOOR
 
 
 def _tau_best(mu_w, costs, fs) -> _Scan:
     """Dense tau scan: rows with defect below the floor are skipped, and
     those among them with positive entropy are degeneracy witnesses."""
-    ent, defect = _tau_pieces(mu_w, costs, fs)
-    skip = defect < DENOM_FLOOR
-    return _best_ratio(ent, defect, ~skip, fs, skip & (ent > 1e-12))
-
-
-def _tau_ascent(mu_w, costs, n, budget, seed) -> EstimateResult:
-    rng = np.random.default_rng(seed)
-
-    def objective(fs):
-        ent, defect = _tau_pieces(mu_w, costs, fs)
-        return np.where(defect >= DENOM_FLOOR,
-                        ent / np.maximum(defect, DENOM_FLOOR), -np.inf)
-
-    starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
-    best, witness, evals = search.multistart_maximize(objective, starts,
-                                                      _gauge_clip, budget)
-    return EstimateResult(max(best, 0.0), witness, evals, 0, "multistart-ascent")
+    ent, defect, ok = _tau_parts(mu_w, costs, fs)
+    return _best_ratio(ent, defect, ok, fs, ~ok & (ent > 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +493,17 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     adjacency-restricted) difference quotient, not the continuum limsup,
     which vanishes identically on finite spaces.  Downstream verdicts
     based on this estimate are capped at INCONCLUSIVE.  Potentials range
-    over [-20, 0] after the gauge shift, by steps of 1e-3 on two points.
+    over [-20, 0] after the gauge shift, by steps of 1e-3 on two points,
+    and larger spaces take the multistart ascent.  Both score a potential
+    by entropy / slope integral where that is finite and at least 1e-14,
+    -inf elsewhere.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac")
     mu_w = mu.weights
     adjacency = _neighbours(space, adjacency)
 
-    def pieces(fs):
+    def parts(fs):
         fs, raw, ent = _gauge_entropy(mu_w, fs)
         conj = np.asarray(alpha.conjugate(slope_vector(space, fs, sign, adjacency)),
                           dtype=float)
@@ -512,33 +511,20 @@ def mlsi_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
             terms = raw * conj
         terms = np.where((raw > 0) & ~np.isfinite(conj), np.inf,
                          np.where(raw == 0, 0.0, terms))
-        return ent, terms.sum(axis=1)
-
-    def ratios(fs):
-        ent, den = pieces(fs)
-        return _best_ratio(ent, den, (den >= DENOM_FLOOR) & np.isfinite(den), fs)
+        den = terms.sum(axis=1)
+        return ent, den, (den >= DENOM_FLOOR) & np.isfinite(den)
 
     if space.size == 2:
         ys = _potential_grid(-_POTENTIAL_BOUND, 0.0, _PAIR_STEP)
-        scan = _fold(ratios, _potential_blocks(ys))
+        scan = _fold(lambda fs: _best_ratio(*parts(fs), fs), _potential_blocks(ys))
         return scan.result("dense-scan-2pt-surrogate",
                            () if scan.ratio == -np.inf else ("slope surrogate",))
-
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
-
-    def objective(fs):
-        ent, den = pieces(fs)
-        good = (den >= DENOM_FLOOR) & np.isfinite(den)
-        return np.where(good, ent / np.maximum(den, DENOM_FLOOR), -np.inf)
-
     starts = [rng.uniform(-2.0, 0.0, space.size) for _ in range(budget.starts)]
     starts.extend(_smooth_starts(space))
-    best, witness, evals = search.multistart_maximize(objective, starts,
-                                                      _gauge_clip, budget)
-    return EstimateResult(max(best, 0.0), witness, evals, 0,
-                          "multistart-ascent-surrogate",
-                          notes=("slope surrogate",))
+    return _ascend(parts, starts, _gauge_clip, budget, 0).result(
+        "multistart-ascent-surrogate", ("slope surrogate",))
 
 
 def _smooth_starts(space):
@@ -563,13 +549,13 @@ def _smooth_starts(space):
 
 
 def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
-               level: float, *, gap_tol: float = DUAL_GAP_TOL) -> dict:
+               level: float) -> dict:
     """Exponential-moment dual check at level c:
     log int e^{c Qf} dmu <= c mu(f) for all bounded f (order 1).
 
     Scans potential families on [-20, 20] (by steps of 1e-3 on two points,
     plus the inf-convolution kink offsets +-alpha(d); by 0.05 on three) and
-    reports the largest log-gap; a gap above ``gap_tol`` is a violation
+    reports the largest log-gap; a gap above ``DUAL_GAP_TOL`` is a violation
     witnessing that the transport inequality at constant 1/c fails on the
     scanned set.  The scan is folded a block of rows at a time, through
     :meth:`_Scan.merge`, into the first largest gap and a copy of its row,
@@ -590,9 +576,9 @@ def dual_check(alpha: YoungFunction, space: FiniteMetricSpace, mu: ProbMeasure,
     return {
         "level": level,
         "max_log_gap": float(worst.ratio),
-        "violation": bool(worst.ratio > gap_tol),
+        "violation": bool(worst.ratio > DUAL_GAP_TOL),
         "worst_potential": worst.row,
-        "gap_tol": gap_tol,
+        "gap_tol": DUAL_GAP_TOL,
         "n_candidates": worst.rows,
     }
 
@@ -642,18 +628,22 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def largest_passing_dual_level(alpha: YoungFunction, space: FiniteMetricSpace,
                                mu: ProbMeasure, *,
-                               gap_tol: float = DUAL_GAP_TOL,
                                rel_precision: float = 1e-4) -> float:
-    """Largest c whose dual check stays within the gap tolerance (bisection).
+    """Largest c whose dual check stays within ``DUAL_GAP_TOL`` (bisection).
 
     The inf-convolutions and means of the potentials are level-free: they
     are kept, block by block, from one streamed scan, and the potentials
     themselves are dropped.  Each level evaluates only the log-sum-exp.
+
+    A Dirac mu passes at every level: Qf <= f, so the gap c (Qf - f) at
+    its atom is never positive, and the level is +oo with no scan.
     """
+    if mu.is_dirac():
+        return math.inf
     log_mu = _log_weights(mu.weights)
     kept = [(qs, means) for _, qs, means in _dual_scan(alpha, space, mu)]
     violates = lambda level: max(_dual_gaps(qs, means, log_mu, level).max()
-                                 for qs, means in kept) > gap_tol
+                                 for qs, means in kept) > DUAL_GAP_TOL
     lo, hi = 1e-10, 1.0
     while not violates(hi):
         lo = hi
@@ -672,7 +662,7 @@ def largest_passing_dual_level(alpha: YoungFunction, space: FiniteMetricSpace,
 def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
                       mu: ProbMeasure, *, tau: float, a: float, b: float,
                       c_norm: float, n: int = 2, count: int = 64,
-                      seed: int = 0, gap_tol: float = DUAL_GAP_TOL) -> dict:
+                      seed: int = 0) -> dict:
     """Tensorized sup-convolution moment premise on the n-fold product:
     log int e^{tau P f} dmu^n <= log a + b mu^n(Pf) + tau c ||f||_inf
     for non-negative f.  Evaluated over a seeded battery of potentials;
@@ -709,10 +699,10 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
     return {
         "tau": tau, "a": a, "b": b, "c": c_norm, "order": n,
         "max_log_gap": float(worst),
-        "violation": bool(worst > gap_tol),
+        "violation": bool(worst > DUAL_GAP_TOL),
         "implied_transport_constant": 1.0 / (tau * (1.0 - c_norm)),
         "n_candidates": count,
-        "gap_tol": gap_tol,
+        "gap_tol": DUAL_GAP_TOL,
         "worst_potential_max": worst_sup,
     }
 
@@ -723,10 +713,12 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
 
 def concentration_check(space: FiniteMetricSpace, mu: ProbMeasure, p: float,
                         constant: float, n: int = 1, *, count: int = 50,
-                        seed: int = 0, rel_tol: float = 1e-9) -> dict:
+                        seed: int = 0) -> dict:
     """Tail check mu^n(f >= mean + u) <= exp(-u^p / (L^p C)) over a battery
     of Lipschitz potentials, exact by atom enumeration (one direction of
-    the transport/concentration equivalence)."""
+    the transport/concentration equivalence).  It holds at a worst tail
+    ratio up to 1 + 1e-9."""
+    rel_tol = 1e-9
     rng = np.random.default_rng(seed)
     prod = ProductSpace(space, n)
     weights = prod.product_weights(mu).ravel()
@@ -969,16 +961,17 @@ def _chain_lsi_to_transport(alpha, space, mu, seed, sign, adjacency, slack,
 
 def holley_stroock(alpha: YoungFunction, space: FiniteMetricSpace,
                    mu: ProbMeasure, phi, transport_constant: float, *,
-                   seed: int = 0, rel_tol: float = 1e-6
-                   ) -> tuple[ProbMeasure, float, VerificationReport]:
+                   seed: int = 0) -> tuple[ProbMeasure, float, VerificationReport]:
     """Perturb mu by the bounded density e^phi and verify the guaranteed
     transport constant of the perturbed measure.
 
     New constant: factor * C * exp((p-1) Osc(phi)) with the conversion
     factor kappa_tilde; the sharper route through the infimum over the
     intermediate scale is computed as well (the two agree analytically)
-    and both are attacked by the transport scan on the perturbed measure.
+    and both are attacked by the transport scan on the perturbed measure,
+    at a relative tolerance of 1e-6.
     """
+    rel_tol = 1e-6
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (space.size,):
         raise ValueError("perturbation must be a potential on the space")

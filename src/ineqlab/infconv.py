@@ -267,13 +267,11 @@ def gradient_diagnostic(alpha: YoungFunction, f, t: float,
 
 
 def lemma_bounds(alpha: YoungFunction, f, t: float, space: FiniteMetricSpace,
-                 n: int = 1, omega: float = 1.0,
-                 geodesic_slack: float = 0.0) -> dict:
+                 n: int = 1, omega: float = 1.0) -> dict:
     """Bundle of the three pointwise-bound reports for one (f, t, n)."""
     p = exponents(alpha).p_exp
     return {
         "tensor_defect": tensor_defect_report(alpha, f, t, space, n),
-        "argmax_ball": argmax_ball_report(p, f, space, n, omega,
-                                          rel_slack=geodesic_slack),
+        "argmax_ball": argmax_ball_report(p, f, space, n, omega),
         "slope_diagnostic": gradient_diagnostic(alpha, f, t, space, n),
     }

@@ -8,8 +8,8 @@ ever approached from below by evaluation):
   an explicit simplex grid, streamed in blocks, on three-point spaces;
 * seeded multistart projected ascent with finite-difference gradients,
   step halving, and a row-wise projection such as the simplex-interior
-  clamp; all starts form one array state advanced in lock-step, with one
-  batched objective call per round.
+  clamp at 1e-9; all starts form one array state advanced in lock-step,
+  with one batched objective call per round.
 
 Degeneracy handling: on a finite space the entropy of a small perturbation
 of mu is quadratic in its size while the transport cost is linear, so the
@@ -50,17 +50,19 @@ _CALL_BLOCK_BYTES = 1 << 22
 # w0 lines per block of :func:`simplex_grid`: at step 2e-3 a block holds
 # under 4,000 rows, so no caller holds the whole grid
 _SIMPLEX_BLOCK_LINES = 8
+# least weight of a Dirichlet start and of a simplex-interior projection
+_CLAMP = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Reproducible budget of one multistart ascent: starts, iterations and
-    step sizes.  Reports do not record it; the CLI always runs the defaults."""
+    step sizes.  Reports do not record it; the CLI always runs the defaults.
+    The simplex-interior clamp is the constant ``_CLAMP``."""
 
     starts: int = 50
     iterations: int = 500
     fd_step: float = 1e-6
-    clamp: float = 1e-9
     initial_step: float = 0.05
 
 
@@ -79,20 +81,20 @@ def simplex_grid(step: float):
         yield np.column_stack([w0, w1, 1.0 - w0 - w1])
 
 
-def pair_swap_shell(mu: np.ndarray, floor: float,
-                    levels=(1.0000001, 2.0, 10.0)) -> np.ndarray:
+def pair_swap_shell(mu: np.ndarray, floor: float) -> np.ndarray:
     """Sources mu + s (e_i - e_j) placed just outside the entropy floor.
 
     These are the directions along which the cost/entropy ratio diverges;
     pinning candidates to prescribed entropy levels makes the floored scan
     supremum grid-independent.  The entropy along e_i - e_j is
     H(s) = (mu_i+s) log((mu_i+s)/mu_i) + (mu_j-s) log((mu_j-s)/mu_j), rising
-    in s; one batched bisection solves every H(s) = floor * level, skipping
-    pairs off the support and unreachable levels (rows by i, j, then level).
+    in s; one batched bisection solves every H(s) = floor * level, at levels
+    1.0000001, 2 and 10, skipping pairs off the support and unreachable
+    levels (rows by i, j, then level).
     """
     pos = mu > 0
     i, j = np.nonzero(pos[:, None] & pos[None, :] & ~np.eye(mu.size, dtype=bool))
-    targets = floor * np.asarray(levels, dtype=float)
+    targets = floor * np.array([1.0000001, 2.0, 10.0])
 
     def h(s, mi, mj):
         a, b = mi + s, mj - s
@@ -114,18 +116,17 @@ def pair_swap_shell(mu: np.ndarray, floor: float,
     return out
 
 
-def dirichlet_starts(rng: np.random.Generator, n: int, count: int,
-                     clamp: float = 1e-9) -> np.ndarray:
+def dirichlet_starts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Random interior simplex points (symmetric Dirichlet, clamped)."""
     w = rng.dirichlet(np.ones(n), size=count)
-    w = np.clip(w, clamp, None)
+    w = np.clip(w, _CLAMP, None)
     return w / w.sum(axis=1, keepdims=True)
 
 
-def project_simplex_interior(x: np.ndarray, clamp: float = 1e-9) -> np.ndarray:
-    """Clamp each row of ``x`` (rows, n) below at ``clamp`` and rescale it to
+def project_simplex_interior(x: np.ndarray) -> np.ndarray:
+    """Clamp each row of ``x`` (rows, n) below at ``_CLAMP`` and rescale it to
     unit mass; a 1-D ``x`` is one row."""
-    w = np.clip(x, clamp, None)
+    w = np.clip(x, _CLAMP, None)
     return w / w.sum(axis=-1, keepdims=True)
 
 

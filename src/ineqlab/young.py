@@ -94,11 +94,6 @@ class ExponentPair:
         if not (self.p_exp > 1.0):
             raise ValueError("upper exponent must exceed 1")
 
-    @property
-    def q_exp(self) -> float:
-        """Conjugate exponent p/(p-1) of the upper growth exponent."""
-        return self.p_exp / (self.p_exp - 1.0)
-
 
 class YoungFunction:
     """Base class: an even convex cost, queried only on [0, oo)."""
@@ -354,14 +349,14 @@ def conjugate(alpha: YoungFunction, y: float):
     return alpha.conjugate(y)
 
 
-def conjugate_numeric(alpha: YoungFunction, y: float, rel_tol: float = 1e-10,
-                      bracket_cap: float = 1e12) -> float:
+def conjugate_numeric(alpha: YoungFunction, y: float) -> float:
     """Golden-section maximization of the concave map x -> x|y| - alpha(x).
 
     The bracket [0, x_hi] is grown until the right slope of alpha exceeds
-    |y|; if the slope stays below |y| up to ``bracket_cap`` the supremum is
-    +oo (possible only for costs of bounded slope) and
-    :class:`UnboundedConjugateError` is raised.
+    |y|; if the slope stays below |y| up to 1e12 the supremum is +oo
+    (possible only for costs of bounded slope) and
+    :class:`UnboundedConjugateError` is raised.  The search stops at a
+    bracket below 1e-10 max(1, upper end).
     """
     ay = abs(float(y))
     if ay == 0.0:
@@ -369,7 +364,7 @@ def conjugate_numeric(alpha: YoungFunction, y: float, rel_tol: float = 1e-10,
     x_hi = 1.0
     while alpha.right_derivative(x_hi) < ay:
         x_hi *= 2.0
-        if x_hi > bracket_cap:
+        if x_hi > 1e12:
             raise UnboundedConjugateError(
                 f"slope never reaches {ay:g}; conjugate diverges")
     lo, hi = 0.0, x_hi
@@ -378,7 +373,7 @@ def conjugate_numeric(alpha: YoungFunction, y: float, rel_tol: float = 1e-10,
     d = lo + invphi * (hi - lo)
     fc = c * ay - alpha(c)
     fd = d * ay - alpha(d)
-    while hi - lo > rel_tol * max(1.0, hi):
+    while hi - lo > 1e-10 * max(1.0, hi):
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)

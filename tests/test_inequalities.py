@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import README_GRID, random_measure, random_metric_space, traced_peak
 from ineqlab.inequalities import (
+    EstimateResult,
     _tau_pieces,
     concentration_check,
     dual_check,
@@ -28,6 +29,7 @@ from ineqlab.spaces import (
     ProductSpace,
     _entropy_vec,
     _gauge_entropy,
+    _neighbours,
     cycle_space,
     exp_entropy,
     grid1d_space,
@@ -513,7 +515,9 @@ def test_dual_checks_on_zero_mass_points(weights, rng):
     want = (np.logaddexp.reduce(np.log(mu.weights[on]) + level * qf[on])
             - level * float(f[on] @ mu.weights[on]))
     assert out["max_log_gap"] == pytest.approx(want, rel=1e-12, abs=1e-15)
-    assert largest_passing_dual_level(alpha, space, mu, rel_precision=1e-2) > 0.0
+    # a Dirac mu passes at every level, since Qf <= f at its atom
+    found = largest_passing_dual_level(alpha, space, mu, rel_precision=1e-2)
+    assert found == math.inf if mu.is_dirac() else 0.0 < found < math.inf
     kwargs = dict(tau=level, a=1.0, b=level, c_norm=0.0, count=8, seed=1)
     with np.errstate(divide="ignore"):
         want = _tensor_dual_loop(alpha, space, mu, **kwargs)
@@ -1073,6 +1077,140 @@ def test_streamed_dual_level_matches_full_grid_oracle(n, tied):
                                                         PowerYoung(2.0, 1.5)]:
         assert (largest_passing_dual_level(alpha, space, mu, rel_precision=precision)
                 == _full_dual_level(alpha, space, mu, precision))
+
+
+# the ascents each estimator built for itself before one floored ratio and
+# one ascent served them all, kept as the oracle: the shared ascent and the
+# LP scan's result must give their values, witnesses and counts bit for bit
+
+
+def _transport_ascent(alpha, space, mu, floor, starts, budget):
+    """Multistart ascent of cost / entropy, pricing only the rows above the
+    floor."""
+    mu_w = mu.weights
+    scanner = transport.BasisScanner(alpha, space, mu)
+
+    def objective(nus):
+        ents = _entropy_vec(nus, mu_w)
+        vals = np.full(nus.shape[0], -np.inf)
+        ok = ents >= floor
+        if np.any(ok):
+            vals[ok] = scanner.costs(nus[ok]) / ents[ok]
+        return vals
+
+    return search.multistart_maximize(objective, starts,
+                                      search.project_simplex_interior, budget)
+
+
+def _oracle_transport(alpha, space, mu, floor, budget, seed):
+    """The four-point and above paths of ``transport_constant_estimate``."""
+    n, mu_w = space.size, mu.weights
+    starts = list(inequalities._tilt_starts(space, mu_w))
+    starts.extend(search.dirichlet_starts(np.random.default_rng(seed), n,
+                                          budget.starts))
+    below = int(np.count_nonzero(_entropy_vec(np.stack(starts), mu_w) < floor))
+    if n > 5:
+        best, k = inequalities._pruned_lp_scan(alpha, space, mu, floor, starts)
+        witness, notes = np.asarray(starts[k]), (f"{len(starts)} starts",)
+        if best == -np.inf:
+            witness, notes = None, ("no candidate above the entropy floor", *notes)
+        return EstimateResult(max(best, 0.0), witness, len(starts), below,
+                              "structured-scan-lp", notes=notes)
+    starts.extend(search.pair_swap_shell(mu_w, floor))
+    best, witness, evals = _transport_ascent(alpha, space, mu, floor, starts, budget)
+    return EstimateResult(max(best, 0.0), witness, evals, below,
+                          "multistart-ascent-scan", notes=(f"{len(starts)} starts",))
+
+
+def _tau_ascent(mu_w, costs, n, budget, seed):
+    rng = np.random.default_rng(seed)
+
+    def objective(fs):
+        ent, defect = _tau_pieces(mu_w, costs, fs)
+        return np.where(defect >= search.DENOM_FLOOR,
+                        ent / np.maximum(defect, search.DENOM_FLOOR), -np.inf)
+
+    starts = [rng.uniform(-3.0, 0.0, n) for _ in range(budget.starts)]
+    best, witness, evals = search.multistart_maximize(objective, starts,
+                                                      inequalities._gauge_clip, budget)
+    return EstimateResult(max(best, 0.0), witness, evals, 0, "multistart-ascent")
+
+
+def _mlsi_ascent(alpha, space, mu, sign, adjacency, budget, seed):
+    """The ascent path (three points and above) of ``mlsi_constant_estimate``."""
+    mu_w = mu.weights
+    adjacency = _neighbours(space, adjacency)
+
+    def pieces(fs):
+        fs, raw, ent = _gauge_entropy(mu_w, fs)
+        conj = np.asarray(alpha.conjugate(inequalities.slope_vector(
+            space, fs, sign, adjacency)), dtype=float)
+        with np.errstate(invalid="ignore"):
+            terms = raw * conj
+        terms = np.where((raw > 0) & ~np.isfinite(conj), np.inf,
+                         np.where(raw == 0, 0.0, terms))
+        return ent, terms.sum(axis=1)
+
+    def objective(fs):
+        ent, den = pieces(fs)
+        good = (den >= search.DENOM_FLOOR) & np.isfinite(den)
+        return np.where(good, ent / np.maximum(den, search.DENOM_FLOOR), -np.inf)
+
+    rng = np.random.default_rng(seed)
+    starts = [rng.uniform(-2.0, 0.0, space.size) for _ in range(budget.starts)]
+    starts.extend(inequalities._smooth_starts(space))
+    best, witness, evals = search.multistart_maximize(objective, starts,
+                                                      inequalities._gauge_clip, budget)
+    return EstimateResult(max(best, 0.0), witness, evals, 0,
+                          "multistart-ascent-surrogate", notes=("slope surrogate",))
+
+
+def _ascent_space(rng, n, kind):
+    if kind == "tied":
+        return (FiniteMetricSpace(tuple("abcdefghi"[:n]), np.ones((n, n)) - np.eye(n)),
+                ProbMeasure.uniform(n))
+    if kind == "grid1d":
+        return grid1d_space(n, float(rng.uniform(0.2, 1.5))), random_measure(rng, n)
+    return random_metric_space(rng, n), random_measure(rng, n)
+
+
+@pytest.mark.parametrize("case", ["T", "T-tied", "tau", "mlsi", "lp"])
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**16), data=st.data(),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]),
+       budget=st.sampled_from([SearchBudget(starts=4, iterations=40),
+                               SearchBudget(starts=6, iterations=15)]))
+def test_shared_ascent_matches_per_estimator_oracle(case, seed, data, pair, budget):
+    # one floored ratio and one ascent give each estimator's own ascent, and
+    # the LP scan's result, field for field
+    rng = np.random.default_rng(seed)
+    alpha = PowerYoung(*pair)
+    if case in ("T", "T-tied", "lp"):
+        # a five-point table takes seconds to build, so the ascent runs on four
+        n = 4 if case != "lp" else data.draw(st.integers(6, 7))
+        space, mu = _ascent_space(rng, n, "tied" if case == "T-tied" else
+                                  data.draw(st.sampled_from(["planar", "grid1d"])))
+        floor = data.draw(st.sampled_from([4e-6, 0.05]))
+        got = transport_constant_estimate(alpha, space, mu, entropy_floor=floor,
+                                          budget=budget, seed=seed)
+        want = _oracle_transport(alpha, space, mu, floor, budget, seed)
+    elif case == "tau":
+        space, mu = _ascent_space(rng, data.draw(st.integers(4, 6)), "planar")
+        lam = data.draw(st.sampled_from([0.01, 0.3, 2.0]))
+        got = tau_lsi_constant_estimate(alpha, lam, space, mu, budget=budget, seed=seed)
+        want = _tau_ascent(mu.weights, transport.cost_matrix(alpha, space, lam),
+                           space.size, budget, seed)
+    else:
+        n = data.draw(st.integers(3, 9))
+        space, mu = _ascent_space(rng, n, data.draw(st.sampled_from(["planar",
+                                                                      "grid1d"])))
+        sign = data.draw(st.sampled_from(["+", "-"]))
+        adjacency = grid_adjacency(n) if data.draw(st.booleans()) else None
+        got = mlsi_constant_estimate(alpha, space, mu, sign, adjacency,
+                                     budget=budget, seed=seed)
+        want = _mlsi_ascent(alpha, space, mu, sign, adjacency, budget, seed)
+    assert _scan_fields(got) == _scan_fields(want)
+    assert _same_witness(got.witness, want.witness)
 
 
 @settings(max_examples=6)
