@@ -317,7 +317,7 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     Above five points the starts are visited best north-west-corner bound
     first and the LP runs only for those whose bound can still beat the
     best certified ratio; the value and witness are those of solving every
-    start.
+    distinct start.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac",
@@ -380,8 +380,9 @@ def _pruned_lp_scan(alpha, space, mu, floor, starts):
     the true optimum (dual violation and gap, each within ``_LP_GAP_TOL``
     per unit mass), the mass left unshipped when totals differ, and
     rounding.  Pruned starts therefore cannot beat or tie the best, and the
-    result (value and index) is that of ranking every start, ties going to
-    the earliest start.  Starts below the entropy floor score -inf.
+    result (value and index) is that of ranking every distinct start (the
+    starts hold each structured source once, see :func:`_tilt_starts`), ties
+    going to the earliest start.  Starts below the entropy floor score -inf.
     """
     nus = np.stack([np.asarray(s, dtype=float) for s in starts])
     ents = _entropy_vec(nus, mu.weights)
@@ -403,18 +404,35 @@ def _pruned_lp_scan(alpha, space, mu, floor, starts):
     return best, best_k
 
 
+_SAME_SOURCE_RTOL = 1e-12
+
+
 def _tilt_starts(space, mu_w):
-    """Exponential tilts of mu along coordinates / distance functions."""
+    """Exponential tilts of mu along coordinates / distance functions, each
+    distinct source once.
+
+    A tilt within ``_SAME_SOURCE_RTOL`` of an earlier tilt's largest weight,
+    in max norm, is a copy and is skipped.  Copies are common: on a sorted
+    line ``dist[0]`` is the centred coordinate plus a constant, so its tilt
+    at t is a coordinate tilt up to rounding, and on an even cycle
+    ``dist[n // 2]`` mirrors ``dist[0]``.  Kept rows are computed exactly as
+    without the check.
+    """
     fields = []
     if space.coords is not None:
         fields.append(space.coords - space.coords.mean())
     fields.append(space.dist[0])
     fields.append(space.dist[space.size // 2])
+    rows = []
     for g in fields:
         scale = max(float(np.max(np.abs(g))), 1e-12)
         for t in (-2.0, -1.0, -0.5, -0.2, -0.1, 0.1, 0.2, 0.5, 1.0, 2.0):
             w = mu_w * np.exp(t * g / scale)
-            yield w / w.sum()
+            rows.append(w / w.sum())
+    tilts = np.stack(rows)
+    gaps = np.abs(tilts[:, None, :] - tilts[None, :, :]).max(axis=2)
+    near = gaps <= _SAME_SOURCE_RTOL * tilts.max(axis=1)[:, None]
+    yield from tilts[~np.triu(near, k=1).any(axis=0)]
 
 
 # ---------------------------------------------------------------------------

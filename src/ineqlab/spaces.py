@@ -47,7 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Labelled finite metric space given by its distance matrix."""
+    """Labelled finite metric space given by its distance matrix.
+
+    ``coords``, when given, holds one finite line coordinate per point.
+    """
 
     labels: tuple
     dist: np.ndarray = field(repr=False)
@@ -63,6 +66,10 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be square")
         if len(self.labels) != d.shape[0]:
             raise ValueError("label count must match matrix size")
+        if self.coords is not None and (self.coords.shape != (d.shape[0],)
+                                        or not np.all(np.isfinite(self.coords))):
+            raise ValueError(f"coords must hold one finite number per point: got "
+                             f"shape {self.coords.shape} for {d.shape[0]} points")
 
     @property
     def size(self) -> int:

@@ -162,6 +162,36 @@ class TestMeasureErrors:
         assert "broken.json: line 1" in capsys.readouterr().err
 
 
+class TestSpaceErrors:
+    @pytest.mark.parametrize("coords", [[[float(i), 0.0] for i in range(6)],
+                                        [0.0, 1.0, 2.0]])
+    @pytest.mark.parametrize("argv", [["estimate", "T"], ["estimate", "mLSI"],
+                                      ["transport"]])
+    def test_bad_coords_exit_one(self, coords, argv, tmp_path, monkeypatch, capsys):
+        # 2-D coords, or 3 coords for 6 points: a config error raised while
+        # the space is built, before any estimate or solve runs
+        xs = np.arange(6.0)
+        doc = {"dist": np.abs(xs[:, None] - xs[None, :]).tolist(), "coords": coords,
+               "measure": {"uniform": True}}
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps(doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"source": {"uniform": True}}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran on an invalid space")
+
+        for name in ("transport_constant_estimate", "mlsi_constant_estimate"):
+            monkeypatch.setattr(cli.inequalities, name, never)
+        monkeypatch.setattr(cli, "optimal_cost", never)
+        assert run([*argv, "--config", str(cfg_path), "--alpha", "power:2,2",
+                    "--seed", "1", "--space-file", str(path),
+                    "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: coords must hold one finite number "
+                              "per point")
+
+
 class TestFailureExitCodes:
     @pytest.mark.parametrize("error", [UnboundedConjugateError,
                                        Delta2ViolationError, ThresholdZeroError])

@@ -35,6 +35,7 @@ from ineqlab.spaces import (
     grid1d_space,
     grid_adjacency,
     measure_from_dict,
+    path_space,
     relative_entropy,
     space_from_dict,
     two_point_space,
@@ -145,6 +146,115 @@ def _tilts_then(extras):
 
 
 LP_COSTS = (PowerYoung(2, 2), PowerYoung(2, 1), PowerYoung(3, 2))
+
+
+def _oracle_tilt_starts(space, mu_w):
+    """Every exponential tilt of mu along coordinates / distance functions,
+    copies included: the start set before copies were dropped, kept as the
+    oracle."""
+    fields = []
+    if space.coords is not None:
+        fields.append(space.coords - space.coords.mean())
+    fields.append(space.dist[0])
+    fields.append(space.dist[space.size // 2])
+    for g in fields:
+        scale = max(float(np.max(np.abs(g))), 1e-12)
+        for t in (-2.0, -1.0, -0.5, -0.2, -0.1, 0.1, 0.2, 0.5, 1.0, 2.0):
+            w = mu_w * np.exp(t * g / scale)
+            yield w / w.sum()
+
+
+def _is_copy(earlier, row):
+    # within 1e-12 of the earlier tilt's largest weight, in max norm
+    return np.max(np.abs(row - earlier)) <= 1e-12 * np.max(earlier)
+
+
+def _tilt_space(rng, n, kind):
+    spacing = float(rng.uniform(0.2, 1.5))
+    if kind == "planar":
+        return random_metric_space(rng, n)
+    if kind == "path":
+        return path_space(n, spacing, float(rng.uniform(-3.0, 3.0)))
+    if kind == "cycle":
+        return cycle_space(2 * (n // 2), spacing)
+    return grid1d_space(n, spacing)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(4, 15), kind=st.sampled_from(["planar", "grid1d", "path", "cycle"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_tilt_starts_drop_only_copies(n, kind, seed):
+    # the kept tilts are the oracle's rows, bit for bit and in order, minus
+    # each row within the tolerance of an earlier one; what is dropped is a
+    # rounding-level copy and what is kept lies far outside the tolerance
+    rng = np.random.default_rng(seed)
+    space = _tilt_space(rng, n, kind)
+    mu_w = random_measure(rng, space.size).weights
+    oracle = list(_oracle_tilt_starts(space, mu_w))
+    copies = [j for j, row in enumerate(oracle)
+              if any(_is_copy(oracle[i], row) for i in range(j))]
+    kept = list(inequalities._tilt_starts(space, mu_w))
+    want = [row for j, row in enumerate(oracle) if j not in copies]
+    assert len(kept) == len(want)
+    assert all(np.array_equal(k, w) for k, w in zip(kept, want))
+    for i, j in itertools.combinations(range(len(kept)), 2):
+        assert np.max(np.abs(kept[i] - kept[j])) > 1e-6 * np.max(kept[i])
+    for j in copies:
+        assert min(np.max(np.abs(oracle[j] - oracle[i])) for i in range(j)) <= 1e-14
+    if kind in ("grid1d", "path"):
+        # dist[0] is the centred coordinate plus a constant: its tilts at
+        # t = +-2, +-1 and +-0.2 are coordinate tilts at t / 2
+        assert (len(oracle), len(kept)) == (30, 24)
+    elif kind == "planar":
+        assert (len(oracle), len(kept)) == (20, 20)
+    else:
+        # dist[n / 2] mirrors dist[0] on an even cycle
+        assert (len(oracle), len(kept)) == (30, 20)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(6, 15), kind=st.sampled_from(["grid1d", "path", "cycle"]),
+       cost=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_distinct_tilts_keep_the_rank_all_estimate(n, kind, cost, seed):
+    # dropping copies changes the LP estimate by what the LP makes of a
+    # rounding-level difference at most: on a line it stays within 1e-13 of
+    # ranking every start of the oracle's full list, and the pruned scan
+    # solves no more LPs than it did over the full list
+    rng = np.random.default_rng(seed)
+    space = _tilt_space(rng, n, kind)
+    mu = random_measure(rng, space.size)
+    alpha = LP_COSTS[cost]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return optimal_cost(*args, **kwargs)
+
+    def run():
+        del calls[:]
+        est = transport_constant_estimate(alpha, space, mu, seed=seed,
+                                          budget=SearchBudget(starts=2))
+        return est, len(calls)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inequalities, "optimal_cost", counting)
+        got, got_calls = run()
+        m.setattr(inequalities, "_tilt_starts", _oracle_tilt_starts)
+        _, full_calls = run()
+        m.setattr(inequalities, "_pruned_lp_scan", _rank_all_lp_scan)
+        ref, _ = run()
+    # every kept row is the oracle's bit for bit, so the full list only adds
+    assert got.value <= ref.value
+    if kind == "cycle":
+        # a cycle's copies are mirror tilts, which HiGHS may price apart by
+        # up to its certified tolerance
+        h = float(_entropy_vec(ref.witness[None, :], mu.weights)[0])
+        assert got.value >= ref.value - 2.0 * transport._DUAL_GAP_TOL / h
+    else:
+        assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert got_calls <= full_calls
+    assert ref.n_candidates - got.n_candidates == (6 if kind != "cycle" else 10)
+    assert np.max(np.abs(got.witness - ref.witness)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -264,8 +374,8 @@ def test_lp_scan_without_candidate_above_floor():
     # no witness, and every start is counted as excluded
     space, mu = grid1d_space(6, 0.5), ProbMeasure.uniform(6)
     est = transport_constant_estimate(PowerYoung(2, 2), space, mu, entropy_floor=5.0)
-    assert (est.value, est.witness, est.n_candidates, est.n_excluded) == (0.0, None, 80, 80)
-    assert est.notes == ("no candidate above the entropy floor", "80 starts")
+    assert (est.value, est.witness, est.n_candidates, est.n_excluded) == (0.0, None, 74, 74)
+    assert est.notes == ("no candidate above the entropy floor", "74 starts")
 
 
 def test_lp_scan_counts_starts_below_floor():

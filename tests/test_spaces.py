@@ -40,6 +40,16 @@ class TestValidation:
         d = np.zeros((2, 2))
         assert any("duplicate" in p for p in FiniteMetricSpace(["a", "b"], d).validate())
 
+    @pytest.mark.parametrize("coords", [np.zeros((3, 2)), np.arange(2.0),
+                                        np.array([0.0, np.nan, 2.0])])
+    def test_coords_one_finite_number_per_point(self, coords):
+        # 2-D coords, too few coords and non-finite coords are refused
+        # before any estimator broadcasts them against the weights
+        d = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
+        with pytest.raises(ValueError, match="one finite number per point"):
+            FiniteMetricSpace(["a", "b", "c"], d, coords=coords)
+        assert FiniteMetricSpace(["a", "b", "c"], d, coords=np.arange(3.0)).size == 3
+
     def test_generators(self):
         assert path_space(5, 0.5).validate() == []
         assert cycle_space(7, 1.0).validate() == []
