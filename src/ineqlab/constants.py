@@ -5,6 +5,10 @@ premise constants (A, lambda): the plus/minus route transport constants,
 the sharp threshold t with xi(t) < 1/A, the Herbst growth factor, the
 integral-limit constant of the minus route, the conversion factor kappa
 and its perturbation analogue, and the Lipschitz-tail coefficient a_p.
+
+xi is the cost's own method ``alpha.xi``, so an override reaches every
+constant here.  The overhead and Herbst integrals share one quadrature in
+v = u^{1/(p-1)}.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .young import (
     YoungFunction,
     epsilon_value,
     exponents,
-    xi_cutoff,
     xi_value,
 )
 
@@ -65,12 +68,12 @@ def holley_factor_numeric(p: float) -> float:
     return kappa(p) * float(res.fun)
 
 
-def _overhead_integral(p: float, t: float) -> float:
-    """int_0^t eps(u)/u du with the substitution u = v^(p-1).
+def _substituted_quad(g, p: float, t: float, c: float, tol: float) -> float:
+    """int_0^t g(u) du with the substitution u = v^(p-1).
 
-    eps(u) ~ (p-1) u^{1/(p-1)} near 0, so the raw integrand has an
-    integrable endpoint singularity for p > 2; in the v variable it is
-    bounded (limit (p-1)^2 at v = 0).
+    g(u) behaves like c (p-1) u^{1/(p-1) - 1} near 0, an integrable
+    endpoint singularity for p > 2; in the v variable the integrand is
+    bounded, with limit c (p-1)^2 at v = 0.
     """
     if t == 0.0:
         return 0.0
@@ -78,10 +81,15 @@ def _overhead_integral(p: float, t: float) -> float:
 
     def f(v):
         u = v**pm1
-        return epsilon_value(p, u) / u * pm1 * v ** (pm1 - 1.0) if u > 0 else pm1 * pm1
+        return g(u) * pm1 * v ** (pm1 - 1.0) if u > 0 else c * pm1 * pm1
 
-    val, _ = quad(f, 0.0, t ** (1.0 / pm1), epsabs=1e-12, epsrel=1e-12, limit=400)
+    val, _ = quad(f, 0.0, t ** (1.0 / pm1), epsabs=tol, epsrel=tol, limit=400)
     return val
+
+
+def _overhead_integral(p: float, t: float) -> float:
+    """int_0^t eps(u)/u du; eps(u) ~ (p-1) u^{1/(p-1)} near 0."""
+    return _substituted_quad(lambda u: epsilon_value(p, u) / u, p, t, 1.0, 1e-12)
 
 
 def lipschitz_tail_coefficient(p: float, omega: float) -> float:
@@ -130,24 +138,14 @@ def t_threshold(alpha: YoungFunction, a_premise: float) -> float:
 
 def _herbst_integral(alpha: YoungFunction, a_premise: float, t: float,
                      sign: float, p: float) -> float:
-    """int_0^t A xi(u) / (u (1 + sign * A xi(u))) du, u = v^(p-1).
+    """int_0^t A xi(u) / (u (1 + sign * A xi(u))) du; xi(u) = (p-1) u^{1/(p-1)}
+    for small u."""
 
-    xi(u) = (p-1) u^{1/(p-1)} for small u, so the substituted integrand is
-    bounded near 0 with limit A (p-1)^2.
-    """
-    if t == 0.0:
-        return 0.0
-    pm1 = p - 1.0
-
-    def f(v):
-        u = v**pm1
-        if u == 0.0:
-            return a_premise * pm1 * pm1
+    def g(u):
         x = xi_value(alpha, u)
-        return a_premise * x / (u * (1.0 + sign * a_premise * x)) * pm1 * v ** (pm1 - 1.0)
+        return a_premise * x / (u * (1.0 + sign * a_premise * x))
 
-    val, _ = quad(f, 0.0, t ** (1.0 / pm1), epsabs=1e-10, epsrel=1e-10, limit=400)
-    return val
+    return _substituted_quad(g, p, t, a_premise, 1e-10)
 
 
 def growth_factor(alpha: YoungFunction, a_premise: float, t: float) -> float:
@@ -161,10 +159,10 @@ def growth_factor(alpha: YoungFunction, a_premise: float, t: float) -> float:
 def minus_route_constant(alpha: YoungFunction, a_premise: float) -> float:
     """lim_{t -> cutoff} (1/t) exp int_0^t A xi/(u (1 + A xi)) du.
 
-    The map t -> (1/t) exp(...) is non-increasing.  When the cutoff is
-    finite (lower exponent 1) the limit is the value at the cutoff.  When
-    it is infinite, the Herbst integrand g = A xi/(u (1 + A xi)) equals
-    1/u - 1/(u (1 + A xi)), so the log t cancels and
+    The map t -> (1/t) exp(...) is non-increasing, and the cutoff is
+    sup { t : xi(t) < oo }.  The Herbst integrand g = A xi/(u (1 + A xi))
+    equals 1/u - 1/(u (1 + A xi)), so the log t cancels and the limit is
+    head plus tail for every cost:
 
         log lim = int_0^1 g du - int_1^oo du / (u (1 + A xi(u))).
 
@@ -173,13 +171,11 @@ def minus_route_constant(alpha: YoungFunction, a_premise: float) -> float:
     the tail is one quadrature in y with u = y^(r-1), du/u = (r-1) dy/y,
     where xi is about linear in y.  (In the head's variable v, an outer
     exponent near 1 squeezes the whole tail into a sliver just above
-    v = 1 that quad can miss.)
+    v = 1 that quad can miss.)  At r = 1 the slope is bounded, xi is +oo
+    beyond 1, the cutoff is 1 and the tail factor r - 1 reads 0.
     """
     exps = exponents(alpha)
     p = exps.p_exp
-    cut = xi_cutoff(alpha)
-    if math.isfinite(cut):
-        return math.exp(_herbst_integral(alpha, a_premise, cut, +1.0, p)) / cut
     rm1 = exps.r_exp - 1.0
 
     def tail(y):

@@ -36,7 +36,7 @@ from .constants import (
     kappa_tilde,
     tau_lsi_transport_constant,
 )
-from .infconv import _q_rows, lipschitz_seminorm
+from .infconv import _q_axis, _q_rows, lipschitz_seminorm
 from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
@@ -261,6 +261,17 @@ def _potential_blocks(*axes):
         yield block.T
 
 
+def _simplex_rows(step: float):
+    """Interior grid of the three-point simplex, ``_MEAN_BLOCK_ROWS`` rows
+    at a time: the (0, w0, w1) gauge rows with a positive third weight,
+    mapped to (w0, w1, 1 - w0 - w1), w0 first."""
+    a = np.arange(step, 1.0, step)
+    for block in _potential_blocks(a, a):
+        keep = block[:, 1] + block[:, 2] < 1.0 - 1e-9  # third weight > 0
+        w0, w1 = block[keep, 1], block[keep, 2]
+        yield np.column_stack([w0, w1, 1.0 - w0 - w1])
+
+
 def _fold(scan_block, blocks) -> _Scan:
     """The scan of every row of ``blocks`` in order, one block at a time."""
     return reduce(_Scan.merge, map(scan_block, blocks))
@@ -335,7 +346,7 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
             ents = _entropy_vec(nus, mu_w)
             return scanner.costs(nus), ents, ents >= entropy_floor
     if n <= 3:
-        grid = [] if n == 2 else search.simplex_grid(2e-3)
+        grid = [] if n == 2 else _simplex_rows(2e-3)
         scan = _fold(lambda rows: _best_ratio(*parts(rows), rows),
                      itertools.chain(grid, [shell]))
         if scan.ratio == -np.inf:
@@ -702,9 +713,7 @@ def tensor_dual_check(alpha: YoungFunction, space: FiniteMetricSpace,
     costs = cost_matrix(alpha, space)
     g = -fs
     for axis in range(n, 0, -1):
-        moved = np.moveaxis(g, axis, -1)
-        q = _q_rows(costs, moved.reshape(-1, space.size))
-        g = np.moveaxis(q.reshape(moved.shape), -1, axis)
+        g = _q_axis(costs, g, axis)
     pf = -g.reshape(count, prod.size)
     log_lhs = _logsumexp_rows(_log_weights(weights) + tau * pf)
     sup = np.abs(fs.reshape(count, prod.size)).max(axis=1)

@@ -61,8 +61,9 @@ def q_conv(alpha: YoungFunction, lam: float, f, space: FiniteMetricSpace,
     """Inf-convolution over the n-fold product, with argmin witnesses.
 
     Coordinates are minimized one at a time (exact; the separable cost
-    makes the iterated minimum the joint one).  Ties break toward the
-    smallest index.
+    makes the iterated minimum the joint one) by the min-plus row kernel,
+    so no temporary exceeds the size of f.  Ties break toward the smallest
+    index.
     """
     if lam < 0:
         raise ValueError("lambda must be non-negative")
@@ -73,12 +74,7 @@ def q_conv(alpha: YoungFunction, lam: float, f, space: FiniteMetricSpace,
     # axis k holds y_k before its pass and x_k afterwards; later axes are
     # already in x-role when axis k is processed
     for axis in reversed(range(n)):
-        moved = np.moveaxis(g, axis, -1)  # (..., y_k)
-        total = moved[..., None, :] + cost  # (..., x_k, y_k)
-        idx = np.argmin(total, axis=-1)
-        val = np.take_along_axis(total, idx[..., None], axis=-1)[..., 0]
-        g = np.moveaxis(val, -1, axis)
-        argmins[axis] = np.moveaxis(idx, -1, axis)
+        g, argmins[axis] = _q_axis(cost, g, axis, argmin=True)
     grid = list(np.indices(g.shape))
     ys: list[np.ndarray] = []
     for k in range(n):
@@ -118,6 +114,26 @@ def _q_rows(costs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _q_axis(costs: np.ndarray, g: np.ndarray, axis: int, argmin: bool = False):
+    """:func:`_q_rows` along one axis of ``g``: y at ``axis`` becomes x.
+
+    With ``argmin`` the first minimizing y at each point comes too, from a
+    second pass over the same sums: they repeat exactly, so equality with
+    the minimum marks the minimizer, and the passes from the last target
+    down leave the smallest index.
+    """
+    moved = np.moveaxis(g, axis, -1)
+    rows = moved.reshape(-1, costs.shape[1])
+    q = _q_rows(costs, rows)
+    val = np.moveaxis(q.reshape(moved.shape), -1, axis)
+    if not argmin:
+        return val
+    idx = np.zeros(q.shape, dtype=np.intp)
+    for j in reversed(range(rows.shape[1])):
+        np.copyto(idx, j, where=rows[:, j:j + 1] + costs[:, j] == q)
+    return val, np.moveaxis(idx.reshape(moved.shape), -1, axis)
+
+
 def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
               coord: int, n: int) -> np.ndarray:
     """Inf-convolution in one coordinate only:
@@ -125,10 +141,7 @@ def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
     h = _check_shape(h, space.size, n)
     if not 0 <= coord < n:
         raise ValueError("coordinate out of range")
-    cost = cost_matrix(alpha, space, lam)
-    moved = np.moveaxis(h, coord, -1)
-    val = _q_rows(cost, moved.reshape(-1, space.size)).reshape(moved.shape)
-    return np.moveaxis(val, -1, coord)
+    return _q_axis(cost_matrix(alpha, space, lam), h, coord)
 
 
 # most product points lipschitz_seminorm takes: it forms (points, points)

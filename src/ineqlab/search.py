@@ -5,7 +5,8 @@ ever approached from below by evaluation):
 
 * dense scans: a batched shell of entropy-pinned two-atom swaps, which is
   exhaustive for the floored transport supremum on two-point spaces, plus
-  an explicit simplex grid, streamed in blocks, on three-point spaces;
+  an explicit simplex grid, streamed in blocks, on three-point spaces
+  (built in :mod:`ineqlab.inequalities` from its potential blocks);
 * seeded multistart projected ascent with finite-difference gradients,
   step halving, and a row-wise projection such as the simplex-interior
   clamp at 1e-9; all starts form one array state advanced in lock-step,
@@ -32,7 +33,6 @@ __all__ = [
     "ENTROPY_FLOOR",
     "DENOM_FLOOR",
     "SearchBudget",
-    "simplex_grid",
     "pair_swap_shell",
     "dirichlet_starts",
     "multistart_maximize",
@@ -47,9 +47,6 @@ DENOM_FLOOR = 1e-14
 # rows per objective call: an objective's (rows, n) float64 arrays stay
 # near 4 MB however many starts a lock-step round holds
 _CALL_BLOCK_BYTES = 1 << 22
-# w0 lines per block of :func:`simplex_grid`: at step 2e-3 a block holds
-# under 4,000 rows, so no caller holds the whole grid
-_SIMPLEX_BLOCK_LINES = 8
 # least weight of a Dirichlet start and of a simplex-interior projection
 _CLAMP = 1e-9
 
@@ -64,21 +61,6 @@ class SearchBudget:
     iterations: int = 500
     fd_step: float = 1e-6
     initial_step: float = 0.05
-
-
-def simplex_grid(step: float):
-    """Uniform grid over the interior of the three-point probability simplex;
-    two points need none, :func:`pair_swap_shell` rows being exhaustive.
-
-    Rows run over w0, then w1.  They come in blocks of
-    ``_SIMPLEX_BLOCK_LINES`` whole w0 lines.
-    """
-    a = np.arange(step, 1.0, step)
-    for lo in range(0, a.size, _SIMPLEX_BLOCK_LINES):
-        w0, w1 = np.meshgrid(a[lo:lo + _SIMPLEX_BLOCK_LINES], a, indexing="ij")
-        mask = w0 + w1 < 1.0 - 1e-9  # the third weight stays positive
-        w0, w1 = w0[mask], w1[mask]
-        yield np.column_stack([w0, w1, 1.0 - w0 - w1])
 
 
 def pair_swap_shell(mu: np.ndarray, floor: float) -> np.ndarray:

@@ -220,12 +220,16 @@ def space_from_dict(spec: dict) -> FiniteMetricSpace:
 def measure_from_dict(spec: dict, space: FiniteMetricSpace) -> ProbMeasure:
     """Build a measure from explicit weights or a density expression.
 
-    Explicit weights must already sum to 1 (tolerance 1e-12); a ``density``
-    expression in the grid coordinate x is evaluated with numpy semantics
-    over a whitelisted grammar and normalized on load.
+    Explicit weights must already sum to 1 (tolerance 1e-12) and hold one
+    weight per point; a ``density`` expression in the grid coordinate x is
+    evaluated with numpy semantics over a whitelisted grammar and
+    normalized on load.
     """
     if "weights" in spec:
-        return ProbMeasure(np.asarray(spec["weights"], dtype=float))
+        mu = ProbMeasure(np.asarray(spec["weights"], dtype=float))
+        if mu.size != space.size:
+            raise ValueError(f"measure has {mu.size} weights for {space.size} points")
+        return mu
     if "density" in spec:
         if space.coords is None:
             raise ValueError("density expressions need a space with coordinates")

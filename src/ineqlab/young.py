@@ -12,9 +12,13 @@ costs: a piecewise-linear cost attains sup_x {x|y| - alpha(x)} at a knot
 on the lower convex hull of the table, located by one binary search over
 the hull slopes.  Other costs fall back to a golden-section search per
 element, which may land up to its relative tolerance below the supremum.
-The numeric conjugate-slope ratio takes an array of x and evaluates every
-x in one lock-step pass: a blocked grid stage, then one ternary refinement
-whose steps advance all x together.
+
+Conjugation, the exponents and the conjugate-slope ratio xi are methods of
+the cost, so a subclass overrides each in one place.  ``xi`` is in closed
+form for the power family (a scaling leaves it unchanged); every other
+cost takes the numeric ratio, which evaluates an array of x in one
+lock-step pass: a blocked grid stage, then one ternary refinement whose
+steps advance all x together.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "xi_value",
     "xi_numeric",
     "xi_upper_bound",
-    "xi_cutoff",
     "epsilon_value",
     "power_extended",
     "change_metric",
@@ -123,6 +126,14 @@ class YoungFunction:
     def exponents(self) -> ExponentPair:
         return _exponents_numeric(self)
 
+    def xi(self, x):
+        """Conjugate-slope ratio sup_{u>0} alpha*(x alpha'_+(u)) / (x alpha(u)).
+
+        Non-decreasing in x > 0, possibly +oo.  ``x`` may be an array; a
+        scalar gives a float.  Here the numeric grid supremum.
+        """
+        return xi_numeric(self, x)
+
 
 class PowerYoung(YoungFunction):
     """Two-regime power cost: |x|^p1 inside [0,1], matched p2-power outside.
@@ -188,6 +199,34 @@ class PowerYoung(YoungFunction):
         p = max(self.p1, self.p2)
         return ExponentPair(r_exp=min(self.p1, self.p2), p_exp=p, delta2=2.0**p)
 
+    def xi(self, x):
+        """Closed form, element by element for an array."""
+        if isinstance(x, np.ndarray):
+            return np.array([self.xi(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        # scalars take the plain-float path: quadrature and bisection call
+        # it tens of thousands of times per constant
+        if x <= 0:
+            raise ValueError("x must be positive")
+        p1, p2 = self.p1, self.p2
+        p = max(p1, p2)
+        if x <= 1.0:
+            return (p - 1.0) * x ** (1.0 / (p - 1.0))
+        if p2 == 1.0:
+            # bounded slope: the conjugate is infinite beyond slope p1, and
+            # for x > 1 the argument x*alpha'(u) exceeds p1 at large u
+            return math.inf
+        q1 = p1 / (p1 - 1.0)
+        q2 = p2 / (p2 - 1.0)
+        try:
+            if p1 >= p2:
+                return p1 * (x ** (1.0 / (p2 - 1.0)) / q2 + (1.0 / q1 - 1.0 / q2) / x)
+            return max((p1 - 1.0) * x ** (1.0 / (p1 - 1.0)),
+                       (p2 - 1.0) * x ** (1.0 / (p2 - 1.0)))
+        except OverflowError:
+            # a power x ** (1/(p-1)) beyond the float range; every term is
+            # positive, so xi is +oo in floats
+            return math.inf
+
 
 class ScaledYoung(YoungFunction):
     """c * alpha for c > 0.  (c*alpha)*(y) = c * alpha*(y/c)."""
@@ -219,6 +258,9 @@ class ScaledYoung(YoungFunction):
 
     def exponents(self) -> ExponentPair:
         return self.base.exponents()  # ratios are scale invariant
+
+    def xi(self, x):
+        return self.base.xi(x)  # invariant under scaling
 
 
 class TabulatedYoung(YoungFunction):
@@ -422,49 +464,8 @@ def exponents(alpha: YoungFunction) -> ExponentPair:
 
 
 def xi_value(alpha: YoungFunction, x):
-    """sup_{u>0} alpha*(x alpha'_+(u)) / (x alpha(u)) for x > 0.
-
-    Non-decreasing in x, possibly +oo.  Closed form for the power family;
-    numeric grid supremum otherwise.  ``x`` may be an array; a scalar
-    gives a float.
-    """
-    if isinstance(x, np.ndarray):
-        if isinstance(alpha, ScaledYoung):
-            return xi_value(alpha.base, x)
-        if not isinstance(alpha, PowerYoung):
-            return xi_numeric(alpha, x)
-        return np.array([xi_value(alpha, v) for v in x.ravel().tolist()]).reshape(x.shape)
-    # scalars take the plain-float path: quadrature and bisection call it
-    # tens of thousands of times per constant
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if isinstance(alpha, PowerYoung):
-        return _xi_power(alpha, x)
-    if isinstance(alpha, ScaledYoung):
-        return xi_value(alpha.base, x)  # invariant under scaling
-    return xi_numeric(alpha, x)
-
-
-def _xi_power(alpha: PowerYoung, x: float) -> float:
-    p1, p2 = alpha.p1, alpha.p2
-    p = max(p1, p2)
-    if x <= 1.0:
-        return (p - 1.0) * x ** (1.0 / (p - 1.0))
-    if p2 == 1.0:
-        # bounded slope: the conjugate is infinite beyond slope p1, and for
-        # x > 1 the argument x*alpha'(u) exceeds p1 at large u
-        return math.inf
-    q1 = p1 / (p1 - 1.0)
-    q2 = p2 / (p2 - 1.0)
-    try:
-        if p1 >= p2:
-            return p1 * (x ** (1.0 / (p2 - 1.0)) / q2 + (1.0 / q1 - 1.0 / q2) / x)
-        return max((p1 - 1.0) * x ** (1.0 / (p1 - 1.0)),
-                   (p2 - 1.0) * x ** (1.0 / (p2 - 1.0)))
-    except OverflowError:
-        # a power x ** (1/(p-1)) beyond the float range; every term is
-        # positive, so xi is +oo in floats
-        return math.inf
+    """The conjugate-slope ratio ``alpha.xi(x)`` (see :meth:`YoungFunction.xi`)."""
+    return alpha.xi(x)
 
 
 # float64 bytes per (x, u) temporary of the grid stage of xi_numeric
@@ -557,27 +558,6 @@ def xi_upper_bound(exp_pair: ExponentPair, x: float) -> float:
     a = x ** (1.0 / (p - 1.0))
     b = power_extended(x, math.inf if r == 1.0 else 1.0 / (r - 1.0))
     return (p - 1.0) * max(a, b)
-
-
-def xi_cutoff(alpha: YoungFunction) -> float:
-    """sup { t >= 0 : xi(t) < oo }; >= 1 under the doubling condition."""
-    pair = exponents(alpha)
-    if pair.r_exp > 1.0:
-        return math.inf
-    # bounded-slope regime: locate the overflow threshold numerically
-    lo, hi = 1.0, 1.0
-    while math.isfinite(xi_value(alpha, hi)) and hi < 1e8:
-        lo = hi
-        hi *= 2.0
-    if hi >= 1e8:
-        return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if math.isfinite(xi_value(alpha, mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def epsilon_value(p: float, t: float) -> float:

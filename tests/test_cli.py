@@ -162,6 +162,39 @@ class TestMeasureErrors:
         assert "broken.json: line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weights", [[1.0], [0.4, 0.3, 0.3]])
+@pytest.mark.parametrize("argv", [["estimate", "T"], ["estimate", "tauLSI"],
+                                  ["estimate", "mLSI"], ["verify", "T-to-tauLSI"],
+                                  ["transport"]])
+def test_measure_length_mismatch_exit_one(weights, argv, tmp_path, monkeypatch,
+                                          capsys):
+    # one weight on two points once read as a Dirac mass, three failed late
+    # inside numpy; both are config errors before any estimate or solve.
+    # transport takes the bad weights as its source, the others as mu
+    bad = {"weights": weights}
+    good = {"weights": [0.5, 0.5]}
+    is_transport = argv == ["transport"]
+    doc = {"dist": [[0.0, 1.0], [1.0, 0.0]], "measure": good if is_transport else bad}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source": bad if is_transport else good}))
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran on a mismatched measure")
+
+    for name in ("transport_constant_estimate", "tau_lsi_constant_estimate",
+                 "mlsi_constant_estimate", "verify_chain"):
+        monkeypatch.setattr(cli.inequalities, name, never)
+    monkeypatch.setattr(cli, "optimal_cost", never)
+    assert run([*argv, "--config", str(cfg_path), "--alpha", "power:2,2",
+                "--seed", "1", "--space-file", str(path),
+                "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"measure has {len(weights)} weights for 2 points" in err
+
+
 class TestSpaceErrors:
     @pytest.mark.parametrize("coords", [[[float(i), 0.0] for i in range(6)],
                                         [0.0, 1.0, 2.0]])

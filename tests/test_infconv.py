@@ -13,6 +13,7 @@ from ineqlab.infconv import (
     tensor_defect_report,
 )
 from ineqlab.spaces import grid1d_space, two_point_space
+from ineqlab.transport import cost_matrix
 from ineqlab.young import PowerYoung
 
 COSTS = [PowerYoung(2, 2), PowerYoung(2, 1), PowerYoung(3, 2)]
@@ -129,6 +130,47 @@ class TestAlgebra:
         h = np.broadcast_to(row[:, None], (3, 3)).copy()  # independent of axis 1
         out = partial_q(PowerYoung(2, 2), 1.0, h, space, 1, 2)
         np.testing.assert_allclose(out, h)
+
+
+def _broadcast_q_conv(alpha, lam, f, space, n):
+    """Oracle: each axis minimized over the whole (..., x_k, y_k) broadcast,
+    size**(n+1) sums, with np.argmin's first minimizer."""
+    cost = cost_matrix(alpha, space, lam)
+    g = f
+    argmins = [None] * n
+    for axis in reversed(range(n)):
+        moved = np.moveaxis(g, axis, -1)
+        total = moved[..., None, :] + cost
+        idx = np.argmin(total, axis=-1)
+        val = np.take_along_axis(total, idx[..., None], axis=-1)[..., 0]
+        g = np.moveaxis(val, -1, axis)
+        argmins[axis] = np.moveaxis(idx, -1, axis)
+    grid = list(np.indices(g.shape))
+    ys = []
+    for k in range(n):
+        ys.append(argmins[k][tuple(ys[:k] + grid[k:])])
+    achieved = f[tuple(ys)].astype(float)
+    for k in range(n):
+        achieved = achieved + cost[grid[k], ys[k]]
+    return g, np.stack(ys, axis=-1), achieved
+
+
+def test_row_kernel_matches_broadcast_oracle(rng):
+    # integer potentials on unit-spaced paths, and lambda = 0, make ties
+    # common: the witness must still be the first minimizer
+    for case in range(300):
+        size, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        space = (grid1d_space(size, 1.0) if case % 2
+                 else random_metric_space(rng, size))
+        alpha = COSTS[case % len(COSTS)]
+        lam = 0.0 if case % 5 == 0 else float(rng.uniform(0.1, 2.0))
+        f = (rng.integers(-3, 4, (size,) * n).astype(float) if case % 3
+             else rng.normal(size=(size,) * n))
+        vals, wit = q_conv(alpha, lam, f, space, n)
+        want, idx, achieved = _broadcast_q_conv(alpha, lam, f, space, n)
+        assert np.array_equal(vals, want)
+        assert np.array_equal(wit.indices, idx)
+        assert np.array_equal(wit.achieved, achieved)
 
 
 class TestPointwiseBounds:

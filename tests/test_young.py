@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ineqlab.constants import _herbst_integral, minus_route_constant, t_threshold
+from ineqlab.infconv import gradient_diagnostic
 from ineqlab.spaces import FiniteMetricSpace, two_point_space
 from ineqlab.young import (
     Delta2ViolationError,
@@ -18,7 +20,6 @@ from ineqlab.young import (
     exponents,
     power_extended,
     validate_young,
-    xi_cutoff,
     xi_numeric,
     xi_upper_bound,
     xi_value,
@@ -215,9 +216,36 @@ class TestXi:
                     continue
                 assert val <= bound * (1 + 1e-12)
 
-    def test_cutoff(self):
-        assert xi_cutoff(PowerYoung(2, 1)) == pytest.approx(1.0, rel=1e-9)
-        assert math.isinf(xi_cutoff(PowerYoung(3, 2)))
+    @settings(max_examples=20)
+    @given(p1=st.floats(2.0, 5.0), a_premise=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+           c=st.floats(0.1, 10.0))
+    def test_bounded_slope_minus_route_is_herbst_to_cutoff(self, p1, a_premise, c):
+        # p2 = 1: xi is +oo past the cutoff 1 and the tail reads 0, so the
+        # minus-route limit is the Herbst value at 1, unscaled as well as
+        # scaled
+        for a in (PowerYoung(p1, 1), ScaledYoung(PowerYoung(p1, 1), c)):
+            assert math.isinf(xi_value(a, math.nextafter(1.0, 2.0)))
+            assert minus_route_constant(a, a_premise) == math.exp(
+                _herbst_integral(a, a_premise, 1.0, +1.0, p1))
+
+    def test_override_reaches_every_caller(self):
+        # halving xi at premise A prices like the plain cost at A/2, and
+        # halves the slope diagnostic's right-hand side
+        class Halved(PowerYoung):
+            def xi(self, x):
+                return 0.5 * super().xi(x)
+
+        space, f = two_point_space(1.3), np.array([0.0, 5.0])
+        for p1, p2 in PAIRS:
+            plain, halved = PowerYoung(p1, p2), Halved(p1, p2)
+            assert t_threshold(halved, 0.5) == t_threshold(plain, 0.25)
+            assert t_threshold(halved, 0.5) != t_threshold(plain, 0.5)
+            assert minus_route_constant(halved, 0.5) == pytest.approx(
+                minus_route_constant(plain, 0.25), rel=1e-12)
+            want = gradient_diagnostic(plain, f, 0.4, space).rhs
+            assert want.max() > 0.0  # point 1 moves to point 0
+            assert np.array_equal(gradient_diagnostic(halved, f, 0.4, space).rhs,
+                                  0.5 * want)
 
     def test_scaling_invariance(self):
         a = PowerYoung(3, 2)
