@@ -31,7 +31,6 @@ from .spaces import (
     ProductSpace,
     exp_entropy,
     relative_entropy,
-    slope,
     slope_vector,
 )
 from .transport import TransportPlan, brute_force_cost, optimal_cost
@@ -42,12 +41,9 @@ from .young import (
     TabulatedYoung,
     YoungFunction,
     change_metric,
-    conjugate,
     conjugate_numeric,
     epsilon_value,
-    exponents,
     xi_numeric,
-    xi_value,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import inequalities, reports
 from .constants import ThresholdZeroError, implication_constants
-from .infconv import lemma_bounds
+from .infconv import _check_seminorm_points, lemma_bounds
 from .spaces import (
     FiniteMetricSpace,
     ProbMeasure,
@@ -37,7 +37,6 @@ from .young import (
     UnboundedConjugateError,
     load_table,
     xi_numeric,
-    xi_value,
 )
 
 EXIT_OK = 0
@@ -170,7 +169,7 @@ def _cmd_xi_table(cfg) -> int:
     xs = np.geomspace(lo, hi, int(count))
     rows = []
     worst = 0.0
-    for x, closed, numeric in zip(xs.tolist(), xi_value(alpha, xs).tolist(),
+    for x, closed, numeric in zip(xs.tolist(), alpha.xi(xs).tolist(),
                                   xi_numeric(alpha, xs).tolist()):
         if np.isfinite(closed) and np.isfinite(numeric):
             err = abs(closed - numeric) / max(abs(closed), 1e-300)
@@ -245,9 +244,10 @@ _CHAIN_NAMES = {
 
 def _cmd_verify(cfg) -> int:
     seed = _require_seed(cfg)
-    alpha = _parse_alpha(cfg["alpha"])
-    space, mu = _build_space_and_measure(cfg)
     which = cfg["chain"]
+    # every check but concentration reads the cost
+    alpha = None if which == "concentration" else _parse_alpha(cfg["alpha"])
+    space, mu = _build_space_and_measure(cfg)
     if which in _CHAIN_NAMES:
         report = inequalities.verify_chain(
             alpha, space, mu, _CHAIN_NAMES[which], seed=seed,
@@ -294,6 +294,7 @@ def _cmd_lemma_bounds(cfg) -> int:
     n = int(cfg.get("order", 1))
     t = float(cfg.get("t", 0.5))
     omega = float(cfg.get("omega", 1.0))
+    _check_seminorm_points(space.size ** n)  # before f of size^n is drawn
     f = rng.normal(scale=float(cfg.get("f-scale", 1.0)), size=(space.size,) * n)
     out = lemma_bounds(alpha, f, t, space, n, omega)
     payload = {
@@ -401,7 +402,10 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"internal solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:  # a required config entry is absent
+        print(f"config error: missing {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

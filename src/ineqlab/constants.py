@@ -23,8 +23,6 @@ from .young import (
     ExponentPair,
     YoungFunction,
     epsilon_value,
-    exponents,
-    xi_value,
 )
 
 __all__ = [
@@ -117,17 +115,17 @@ def t_threshold(alpha: YoungFunction, a_premise: float) -> float:
         raise ValueError("premise constant must be positive")
     target = 1.0 / a_premise
     lo = 1e-12
-    if xi_value(alpha, lo) >= target:
+    if alpha.xi(lo) >= target:
         raise ThresholdZeroError("xi already exceeds 1/A near 0")
     hi = 1.0
-    while xi_value(alpha, hi) < target:
+    while alpha.xi(hi) < target:
         lo = hi
         hi *= 2.0
         if hi > 1e12:
             return math.inf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if xi_value(alpha, mid) < target:
+        if alpha.xi(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -142,7 +140,7 @@ def _herbst_integral(alpha: YoungFunction, a_premise: float, t: float,
     for small u."""
 
     def g(u):
-        x = xi_value(alpha, u)
+        x = alpha.xi(u)
         return a_premise * x / (u * (1.0 + sign * a_premise * x))
 
     return _substituted_quad(g, p, t, a_premise, 1e-10)
@@ -150,7 +148,7 @@ def _herbst_integral(alpha: YoungFunction, a_premise: float, t: float,
 
 def growth_factor(alpha: YoungFunction, a_premise: float, t: float) -> float:
     """exp int_0^t A xi/(u (1 - A xi)) du, finite for t below the threshold."""
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     if t >= t_threshold(alpha, a_premise):
         raise ValueError("t must stay below the threshold sup{xi < 1/A}")
     return math.exp(_herbst_integral(alpha, a_premise, t, -1.0, p))
@@ -174,13 +172,13 @@ def minus_route_constant(alpha: YoungFunction, a_premise: float) -> float:
     v = 1 that quad can miss.)  At r = 1 the slope is bounded, xi is +oo
     beyond 1, the cutoff is 1 and the tail factor r - 1 reads 0.
     """
-    exps = exponents(alpha)
+    exps = alpha.exponents()
     p = exps.p_exp
     rm1 = exps.r_exp - 1.0
 
     def tail(y):
         try:
-            x = xi_value(alpha, y**rm1)
+            x = alpha.xi(y**rm1)
         except OverflowError:  # xi beyond the float range: the term is 0
             return 0.0
         return rm1 / (y * (1.0 + a_premise * x))
@@ -260,7 +258,7 @@ def implication_constants(alpha: YoungFunction, a_premise: float,
     """
     if a_premise <= 0 or lam <= 0:
         raise ValueError("premise constants must be positive")
-    exps = exponents(alpha)
+    exps = alpha.exponents()
     r, p = exps.r_exp, exps.p_exp
     base = (p - 1.0) * a_premise
     c_plus = max(base ** (r - 1.0), base ** (p - 1.0))

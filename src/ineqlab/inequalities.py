@@ -21,6 +21,7 @@ verdicts on a degenerate premise are vacuous passes flagged as such.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,7 +60,7 @@ from .transport import (
     cost_matrix,
     optimal_cost,
 )
-from .young import YoungFunction, exponents
+from .young import YoungFunction
 
 __all__ = [
     "EstimateResult",
@@ -329,13 +330,28 @@ def transport_constant_estimate(alpha: YoungFunction, space: FiniteMetricSpace,
     first and the LP runs only for those whose bound can still beat the
     best certified ratio; the value and witness are those of solving every
     distinct start.
+
+    A mu with zero-mass points is estimated on its support, where every
+    source of finite entropy lives; the witness is the best source on the
+    whole space, zero off the support.
     """
     if mu.is_dirac():
         return EstimateResult(0.0, None, 0, 0, "degenerate-dirac",
                               notes=("reference measure is a Dirac mass",))
     support = mu.support()
-    if support.size < mu.size:
-        space, mu = _restrict(space, mu, support)
+    if support.size == mu.size:
+        return _transport_estimate(alpha, space, mu, entropy_floor, budget, seed)
+    est = _transport_estimate(alpha, *_restrict(space, mu, support),
+                              entropy_floor, budget, seed)
+    if est.witness is None:
+        return est
+    witness = np.zeros(mu.size)
+    witness[support] = est.witness
+    return dataclasses.replace(est, witness=witness)
+
+
+def _transport_estimate(alpha, space, mu, entropy_floor, budget, seed):
+    """:func:`transport_constant_estimate` for a mu of full support."""
     n = space.size
     mu_w = mu.weights
     shell = search.pair_swap_shell(mu_w, entropy_floor)
@@ -905,7 +921,7 @@ def _zero_defect_entropy(alpha, lam, space, mu):
 def _chain_tau_to_transport(alpha, space, mu, seed, rel_tol, abs_tol, lam,
                             budget):
     est = tau_lsi_constant_estimate(alpha, lam, space, mu, seed=seed)
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     notes = list(est.notes)
     # the premise is falsified at this check's absolute tolerance when some
     # zero-defect potential carries more entropy than the tolerance allows;
@@ -1002,7 +1018,7 @@ def holley_stroock(alpha: YoungFunction, space: FiniteMetricSpace,
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (space.size,):
         raise ValueError("perturbation must be a potential on the space")
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     osc = float(phi.max() - phi.min())
     w = mu.weights * np.exp(phi)
     mu_t = ProbMeasure(w / w.sum())

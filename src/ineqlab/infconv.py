@@ -21,7 +21,7 @@ import numpy as np
 
 from .spaces import FiniteMetricSpace, _neighbours, slope_vector
 from .transport import cost_matrix
-from .young import YoungFunction, epsilon_value, exponents, xi_value
+from .young import YoungFunction, epsilon_value
 
 __all__ = [
     "ArgminWitness",
@@ -149,6 +149,14 @@ def partial_q(alpha: YoungFunction, lam: float, h, space: FiniteMetricSpace,
 _SEMINORM_MAX_POINTS = 4096
 
 
+def _check_seminorm_points(points: int) -> None:
+    """Raise ValueError if a product of ``points`` points is too large for
+    :func:`lipschitz_seminorm` (a caller may check before building f)."""
+    if points > _SEMINORM_MAX_POINTS:
+        raise ValueError(f"Lipschitz seminorm over {points} product points: "
+                         f"the pair matrices allow at most {_SEMINORM_MAX_POINTS}")
+
+
 def lipschitz_seminorm(f: np.ndarray, space: FiniteMetricSpace, p: float,
                        n: int = 1) -> float:
     """sup over pairs of |f(x) - f(y)| / (sum_i d(x_i,y_i)^p)^(1/p).
@@ -157,9 +165,7 @@ def lipschitz_seminorm(f: np.ndarray, space: FiniteMetricSpace, p: float,
     any pair matrix is allocated.
     """
     f = _check_shape(f, space.size, n)
-    if f.size > _SEMINORM_MAX_POINTS:
-        raise ValueError(f"Lipschitz seminorm over {f.size} product points: "
-                         f"the pair matrices allow at most {_SEMINORM_MAX_POINTS}")
+    _check_seminorm_points(f.size)
     dp = space.dist**p
     flat = f.ravel()
     size = space.size
@@ -209,7 +215,7 @@ def tensor_defect_report(alpha: YoungFunction, f, t: float,
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
     f = _check_shape(f, space.size, n)
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     pf, wit = p_conv(alpha, f, space, n)
     tp = t * pf
     lhs = np.zeros_like(tp)
@@ -239,13 +245,13 @@ def argmax_ball_report(p: float, f, space: FiniteMetricSpace, n: int = 1,
     if p < 2.0:
         raise ValueError("displacement bound implemented for p >= 2")
     f = _check_shape(f, space.size, n)
+    lvalue = lipschitz_seminorm(f, space, p, n)  # its size guard runs first
     power = PowerYoung(p, p)  # pure power cost |x|^p
     _, wit = p_conv(power, f, space, n)
     grid = np.indices((space.size,) * n)
     disp = np.zeros(grid[0].shape)
     for i in range(n):
         disp += space.dist[grid[i], wit.indices[..., i]] ** p
-    lvalue = lipschitz_seminorm(f, space, p, n)
     q = p / (p - 1.0)
     bound = (lvalue / omega) ** q * (1.0 + rel_slack)
     rhs = np.full_like(disp, bound)
@@ -270,7 +276,7 @@ def gradient_diagnostic(alpha: YoungFunction, f, t: float,
         moved = np.moveaxis(qf, i, -1)
         slopes = slope_vector(space, moved, "+", neighbours)
         lhs += np.moveaxis(np.asarray(alpha.conjugate(t * slopes)), -1, i)
-    xi_t = xi_value(alpha, t)
+    xi_t = alpha.xi(t)
     rhs = t * xi_t * (qf - f[tuple(np.moveaxis(wit.indices, -1, 0))])
     margin = float(np.max(lhs - rhs)) if math.isfinite(xi_t) else -math.inf
     return BoundReport(name="slope-bound (surrogate, diagnostic)",
@@ -281,10 +287,14 @@ def gradient_diagnostic(alpha: YoungFunction, f, t: float,
 
 def lemma_bounds(alpha: YoungFunction, f, t: float, space: FiniteMetricSpace,
                  n: int = 1, omega: float = 1.0) -> dict:
-    """Bundle of the three pointwise-bound reports for one (f, t, n)."""
-    p = exponents(alpha).p_exp
+    """Bundle of the three pointwise-bound reports for one (f, t, n).
+
+    The argmax-ball report is built first: its seminorm refuses an
+    oversized product before any convolution runs.
+    """
+    ball = argmax_ball_report(alpha.exponents().p_exp, f, space, n, omega)
     return {
         "tensor_defect": tensor_defect_report(alpha, f, t, space, n),
-        "argmax_ball": argmax_ball_report(p, f, space, n, omega),
+        "argmax_ball": ball,
         "slope_diagnostic": gradient_diagnostic(alpha, f, t, space, n),
     }

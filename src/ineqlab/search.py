@@ -100,9 +100,7 @@ def pair_swap_shell(mu: np.ndarray, floor: float) -> np.ndarray:
 
 def dirichlet_starts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """Random interior simplex points (symmetric Dirichlet, clamped)."""
-    w = rng.dirichlet(np.ones(n), size=count)
-    w = np.clip(w, _CLAMP, None)
-    return w / w.sum(axis=1, keepdims=True)
+    return project_simplex_interior(rng.dirichlet(np.ones(n), size=count))
 
 
 def project_simplex_interior(x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ by the calling layers.
 from __future__ import annotations
 
 import ast
+import inspect
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,7 +41,6 @@ __all__ = [
     "measure_from_dict",
     "relative_entropy",
     "exp_entropy",
-    "slope",
     "slope_vector",
     "grid_adjacency",
 ]
@@ -75,9 +76,9 @@ class FiniteMetricSpace:
     def size(self) -> int:
         return self.dist.shape[0]
 
-    def validate(self, tol: float = 1e-9) -> list[str]:
-        """List of violated metric axioms (empty means valid)."""
-        d = self.dist
+    def validate(self) -> list[str]:
+        """List of violated metric axioms (empty means valid), to 1e-9."""
+        d, tol = self.dist, 1e-9
         problems = []
         if np.any(np.abs(np.diag(d)) > tol):
             problems.append("nonzero diagonal")
@@ -150,10 +151,11 @@ class ProbMeasure:
 # constructors
 
 
-def two_point_space(d: float, labels=("a", "b")) -> FiniteMetricSpace:
+def two_point_space(d: float) -> FiniteMetricSpace:
+    """Points ``a`` and ``b`` at distance d > 0."""
     if d <= 0:
         raise ValueError("distance must be positive")
-    return FiniteMetricSpace(labels, np.array([[0.0, d], [d, 0.0]]))
+    return FiniteMetricSpace(("a", "b"), np.array([[0.0, d], [d, 0.0]]))
 
 
 def path_space(count: int, spacing: float = 1.0, start: float = 0.0) -> FiniteMetricSpace:
@@ -196,13 +198,17 @@ def space_from_dict(spec: dict) -> FiniteMetricSpace:
     """Build a space from a config mapping.
 
     Either explicit ``labels`` + ``dist`` or a ``generator`` entry
-    {kind: path|cycle|grid1d, count, spacing[, start]}.
+    {kind: path|cycle|grid1d, count, spacing, start}: the fields are those
+    of the generator function, ``count`` a positive integer, ``spacing`` a
+    finite number > 0 and ``start`` a finite number.  Generated spaces are
+    metrics by construction, so only these fields are checked.
     """
     if "generator" in spec:
         g = dict(spec["generator"])
-        kind = g.pop("kind")
+        kind = g.pop("kind", None)
         if kind not in _GENERATORS:
-            raise ValueError(f"unknown generator kind {kind!r}")
+            raise ValueError(f"unknown generator kind {kind!r} (path, cycle or grid1d)")
+        _check_generator(kind, _GENERATORS[kind], g)
         return _GENERATORS[kind](**g)
     if "dist" in spec:
         dist = np.asarray(spec["dist"], dtype=float)
@@ -215,6 +221,35 @@ def space_from_dict(spec: dict) -> FiniteMetricSpace:
             raise ValueError(f"invalid space: {', '.join(problems)}")
         return space
     raise ValueError("space spec needs 'dist' or 'generator'")
+
+
+# generator field -> (test of a real, non-boolean value, what it must be)
+_GENERATOR_FIELDS = {
+    "count": (lambda v: isinstance(v, numbers.Integral) and v > 0,
+              "a positive integer"),
+    "spacing": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "start": (math.isfinite, "a finite number"),
+}
+
+
+def _check_generator(kind: str, build, g: dict) -> None:
+    """Raise ValueError naming the first generator field that is unknown,
+    missing or out of range."""
+    params = inspect.signature(build).parameters
+    for key in g:
+        if key not in params:
+            raise ValueError(f"{kind} generator has no field {key!r} "
+                             f"(fields: {', '.join(params)})")
+    for key, param in params.items():
+        if key not in g:
+            if param.default is param.empty:
+                raise ValueError(f"{kind} generator needs {key!r}")
+            continue
+        test, need = _GENERATOR_FIELDS[key]
+        val = g[key]
+        if not (isinstance(val, numbers.Real) and not isinstance(val, bool)
+                and test(val)):
+            raise ValueError(f"{kind} generator {key!r} must be {need}, got {val!r}")
 
 
 def measure_from_dict(spec: dict, space: FiniteMetricSpace) -> ProbMeasure:
@@ -356,17 +391,6 @@ def _rectify(diff: np.ndarray, sign: str) -> np.ndarray:
     raise ValueError("sign must be '+' or '-'")
 
 
-def slope(space: FiniteMetricSpace, f, i: int, sign: str = "+",
-          adjacency: list[np.ndarray] | None = None) -> float:
-    """One-sided difference-quotient modulus at point i.
-
-    Global mode (no adjacency) maximizes over all other points; neighbor
-    mode restricts to adjacency[i].  Empty neighborhoods give 0 (isolated
-    point).
-    """
-    return float(slope_vector(space, f, sign, adjacency)[i])
-
-
 class _Neighbours(NamedTuple):
     """Neighbour lists padded to k slots: point i's s-th neighbour is
     ``idx[s, i]`` at distance ``dist[s, i]``.
@@ -401,7 +425,9 @@ def _neighbours(space: FiniteMetricSpace, adjacency) -> _Neighbours:
 
 def slope_vector(space: FiniteMetricSpace, f, sign: str = "+",
                  adjacency: list[np.ndarray] | None = None) -> np.ndarray:
-    """Slope modulus at every point, for f of shape (n,) or (..., n).
+    """One-sided difference-quotient modulus at every point, for f of shape
+    (n,) or (..., n): the largest rectified quotient over the neighbours of
+    the point, 0 for a point without neighbours.
 
     A running maximum over the padded neighbour slots (every other point
     when ``adjacency`` is None), one (rows, n) gather each, so every

@@ -36,10 +36,7 @@ __all__ = [
     "ExponentPair",
     "UnboundedConjugateError",
     "Delta2ViolationError",
-    "conjugate",
     "conjugate_numeric",
-    "exponents",
-    "xi_value",
     "xi_numeric",
     "xi_upper_bound",
     "epsilon_value",
@@ -300,20 +297,19 @@ class TabulatedYoung(YoungFunction):
 
     def _slope_at(self, ax, side: str):
         # slope of the segment containing ax + 0 (side right) or ax - 0
-        # (side left); the two differ only at knots
+        # (side left); the two differ only at knots.  The clipped index
+        # reads the final slope at and beyond the last knot, +oo included
         idx = np.searchsorted(self.xs, ax, side="right" if side == "right" else "left")
         idx = np.clip(idx - 1, 0, self._slopes.size - 1)
         return self._slopes[idx]
 
     def right_derivative(self, x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        out = np.where(ax >= self.xs[-1], self._slopes[-1], self._slope_at(ax, "right"))
+        out = self._slope_at(np.abs(np.asarray(x, dtype=float)), "right")
         return out if out.ndim else float(out)
 
     def left_derivative(self, x):
         ax = np.abs(np.asarray(x, dtype=float))
-        out = np.where(ax > self.xs[-1], self._slopes[-1], self._slope_at(ax, "left"))
-        out = np.where(ax == 0.0, 0.0, out)
+        out = np.where(ax == 0.0, 0.0, self._slope_at(ax, "left"))
         return out if out.ndim else float(out)
 
     def conjugate(self, y):
@@ -386,11 +382,6 @@ def load_table(path) -> TabulatedYoung:
 # conjugation
 
 
-def conjugate(alpha: YoungFunction, y: float):
-    """alpha*(y), closed form when the cost provides one."""
-    return alpha.conjugate(y)
-
-
 def conjugate_numeric(alpha: YoungFunction, y: float) -> float:
     """Golden-section maximization of the concave map x -> x|y| - alpha(x).
 
@@ -454,19 +445,8 @@ def _exponents_numeric(alpha: YoungFunction, grid=None) -> ExponentPair:
     return ExponentPair(r_exp=min(r, p), p_exp=p, delta2=max(k, 2.0))
 
 
-def exponents(alpha: YoungFunction) -> ExponentPair:
-    """Growth exponents (r, p) and doubling constant of the cost."""
-    return alpha.exponents()
-
-
 # ---------------------------------------------------------------------------
 # conjugate-slope ratio
-
-
-def xi_value(alpha: YoungFunction, x):
-    """The conjugate-slope ratio ``alpha.xi(x)`` (see :meth:`YoungFunction.xi`)."""
-    return alpha.xi(x)
-
 
 # float64 bytes per (x, u) temporary of the grid stage of xi_numeric
 _XI_BLOCK_BYTES = 1 << 20
@@ -584,7 +564,7 @@ def change_metric(alpha: YoungFunction, space):
     makes the result a metric again, which is re-validated here."""
     from . import spaces  # local import; spaces does not import young
 
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     d = alpha(space.dist) ** (1.0 / p)
     np.fill_diagonal(d, 0.0)
     out = spaces.FiniteMetricSpace(labels=space.labels, dist=d, coords=space.coords)
@@ -594,9 +574,9 @@ def change_metric(alpha: YoungFunction, space):
     return out
 
 
-def validate_young(alpha: YoungFunction, grid=None) -> list[str]:
-    """Sampled diagnostics of the Young axioms; empty list means valid."""
-    xs = np.linspace(0.0, 10.0, 501)[1:] if grid is None else np.asarray(grid)
+def validate_young(alpha: YoungFunction) -> list[str]:
+    """Sampled diagnostics of the Young axioms on (0, 10]; empty list means valid."""
+    xs = np.linspace(0.0, 10.0, 501)[1:]
     problems = []
     if abs(float(alpha(0.0))) > 1e-12:
         problems.append("alpha(0) != 0")

@@ -40,10 +40,8 @@ from ineqlab.young import (
     PowerYoung,
     ScaledYoung,
     conjugate_numeric,
-    exponents,
     xi_numeric,
     xi_upper_bound,
-    xi_value,
 )
 
 PAIRS = [(2.0, 2.0), (2.0, 1.5), (3.0, 2.0), (2.0, 3.0)]
@@ -88,7 +86,7 @@ def test_criterion_01_conjugate_identity():
 def test_criterion_02_exponents():
     t0 = time.time()
     for p1, p2 in PAIRS:
-        pair = exponents(PowerYoung(p1, p2))
+        pair = PowerYoung(p1, p2).exponents()
         assert pair.r_exp == pytest.approx(min(p1, p2), abs=1e-9)
         assert pair.p_exp == pytest.approx(max(p1, p2), abs=1e-9)
     # doubling constant of the pure power cost via the numeric supremum
@@ -105,17 +103,17 @@ def test_criterion_03_xi_closed_vs_numeric():
     xs = np.geomspace(0.01, 10.0, 1000)
     for p1, p2 in PAIRS + [(2.0, 1.0)]:
         a = PowerYoung(p1, p2)
-        pair = exponents(a)
+        pair = a.exponents()
         check_xs = xs[::5] if (p1, p2) != (2.0, 1.0) else xs[::25]
         for x, numeric in zip(check_xs, xi_numeric(a, check_xs)):
-            closed = xi_value(a, float(x))
+            closed = a.xi(float(x))
             if math.isinf(closed):
                 assert math.isinf(numeric)
             else:
                 assert numeric == pytest.approx(closed, rel=1e-5)
         for x in xs:  # slope-ratio bound with the x**oo convention
             bound = xi_upper_bound(pair, float(x))
-            val = xi_value(a, float(x))
+            val = a.xi(float(x))
             assert val <= bound * (1 + 1e-12) or math.isinf(bound)
     _report(3, "conjugate-slope ratio", time.time() - t0, 30.0)
 

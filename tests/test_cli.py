@@ -225,6 +225,30 @@ class TestSpaceErrors:
                               "per point")
 
 
+    @pytest.mark.parametrize("generator, field", [
+        ({"kind": "grid1d", "count": 5}, "spacing"),
+        ({"kind": "path", "count": 5, "step": 0.1}, "step"),
+        ({"kind": "grid1d", "count": "five", "spacing": 0.1}, "count"),
+        ({"kind": "grid1d", "count": 5, "spacing": 0.0}, "spacing"),
+    ])
+    def test_bad_generator_exit_one(self, generator, field, tmp_path, monkeypatch,
+                                    capsys):
+        # a missing, unknown or out-of-range field is a config error naming
+        # it; a zero spacing once built an all-zero metric and exited 0
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generator": generator,
+                                    "measure": {"uniform": True}}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran on an invalid space")
+
+        monkeypatch.setattr(cli.inequalities, "transport_constant_estimate", never)
+        assert run(["estimate", "T", "--alpha", "power:2,2", "--seed", "1",
+                    "--space-file", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(field) in err
+
+
 class TestFailureExitCodes:
     @pytest.mark.parametrize("error", [UnboundedConjugateError,
                                        Delta2ViolationError, ThresholdZeroError])
@@ -320,6 +344,25 @@ class TestRuns:
                     "--seed", "1", "--C", "300", "--p", "2",
                     "--space-file", two_point_file,
                     "--output-dir", str(tmp_path)]) == 0
+
+    def test_concentration_reads_no_cost(self, tmp_path, two_point_file):
+        # the check never uses the cost, so it runs without --alpha and
+        # gives the same result
+        argv = ["verify", "concentration", "--seed", "1", "--C", "300", "--p", "2",
+                "--space-file", two_point_file]
+        results = []
+        for extra in ([], ["--alpha", "power:2,2"]):
+            out = tmp_path / str(len(extra))
+            assert run([*argv, *extra, "--output-dir", str(out)]) == 0
+            report = json.loads((out / "verify-concentration.json").read_text())
+            results.append(report["result"])
+        assert results[0] == results[1]
+
+    def test_missing_cost_named(self, tmp_path, two_point_file, capsys):
+        assert run(["estimate", "T", "--seed", "1", "--space-file", two_point_file,
+                    "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: missing 'alpha'")
 
     def test_concentration_oversized_product_exit_one(self, tmp_path,
                                                       no_large_zeros, capsys):

@@ -20,7 +20,7 @@ from ineqlab.constants import (
     t_threshold,
     tau_lsi_transport_constant,
 )
-from ineqlab.young import PowerYoung, epsilon_value, exponents, xi_value
+from ineqlab.young import PowerYoung, epsilon_value
 
 
 class TestConversionFactors:
@@ -113,11 +113,11 @@ def _herbst_values(alpha, a_premise, ks):
     w = log u over pieces at most 1/4 wide (finer towards w = 0), where an
     outer exponent near 1 puts the whole rise of A xi / (1 + A xi).
     """
-    p = exponents(alpha).p_exp
+    p = alpha.exponents().p_exp
     head = _herbst_integral(alpha, a_premise, 1.0, +1.0, p)
 
     def g(w):
-        x = a_premise * xi_value(alpha, math.exp(w))
+        x = a_premise * alpha.xi(math.exp(w))
         return 1.0 if math.isinf(x) else x / (1.0 + x)
 
     top = max(ks) * math.log(4.0)
@@ -184,7 +184,7 @@ class TestBundle:
         # t -> t * exp(-int...) is non-decreasing: equivalently the
         # reciprocal of the minus-route value at t is non-decreasing in t
         a = PowerYoung(3, 2)
-        p = exponents(a).p_exp
+        p = a.exponents().p_exp
         ts = np.linspace(0.05, 8.0, 60)
         vals = [t * math.exp(-_herbst_integral(a, 1.3, t, +1.0, p)) for t in ts]
         assert all(b2 >= a2 * (1 - 1e-10) for a2, b2 in zip(vals, vals[1:]))

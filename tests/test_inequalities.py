@@ -410,8 +410,8 @@ def test_ascent_counts_starts_below_floor():
 @pytest.mark.parametrize("kind", ["grid1d", "planar"])
 def test_lp_scan_on_partly_supported_measure(kind, rng):
     # a 9-point mu with two zero-mass points is estimated on its 7-point
-    # support: the same value and witness as on the restricted space, and
-    # no LP ever sees a 9-point measure
+    # support: the same value as on the restricted space, its witness on
+    # the whole space, and no LP ever sees a 9-point measure
     space = grid1d_space(9, 0.4) if kind == "grid1d" else random_metric_space(rng, 9)
     w = random_measure(rng, 9).weights.copy()
     w[[2, 6]] = 0.0
@@ -437,10 +437,33 @@ def test_lp_scan_on_partly_supported_measure(kind, rng):
                                           budget=budget)
     assert got.method == ref.method == "structured-scan-lp"
     assert got.value == ref.value > 0.0
-    assert got.witness.shape == (7,)
-    assert np.array_equal(got.witness, ref.witness)
+    assert got.witness.shape == (9,)
+    assert np.array_equal(got.witness[idx], ref.witness)
+    assert np.all(got.witness[[2, 6]] == 0.0)
     assert got.n_candidates == ref.n_candidates
     assert sizes and set(sizes) == {(7, 7, 7)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 5), zeros=st.integers(1, 2),
+       pair=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (2.0, 1.5)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_witness_lives_on_the_whole_space(n, zeros, pair, seed):
+    # with zero-mass points the estimate is solved on the support, and its
+    # witness is a source on the whole space that the LP prices at value
+    rng = np.random.default_rng(seed)
+    space = random_metric_space(rng, n)
+    w = random_measure(rng, n).weights.copy()
+    w[rng.choice(n, zeros, replace=False)] = 0.0
+    mu = ProbMeasure(w / w.sum())
+    alpha = PowerYoung(*pair)
+    est = transport_constant_estimate(alpha, space, mu, seed=seed % 1000,
+                                      budget=SearchBudget(starts=4, iterations=30))
+    assert est.witness.shape == (n,)
+    assert np.all(est.witness[w == 0.0] == 0.0)
+    nu = ProbMeasure(est.witness)
+    cost, _ = optimal_cost(alpha, space, nu, mu)
+    assert cost / relative_entropy(nu, mu) == pytest.approx(est.value, rel=2e-9)
 
 
 class TestTauLsiEstimate:

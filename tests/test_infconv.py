@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_metric_space
+from ineqlab import cli, infconv
 from ineqlab.infconv import (
     argmax_ball_report,
     gradient_diagnostic,
@@ -217,6 +218,41 @@ class TestPointwiseBounds:
         space = random_metric_space(rng, 3)
         f = rng.normal(size=(3, 3))
         out = lemma_bounds(PowerYoung(2, 2), f, 0.4, space, 2)
-        assert set(out) == {"tensor_defect", "argmax_ball", "slope_diagnostic"}
+        assert list(out) == ["tensor_defect", "argmax_ball", "slope_diagnostic"]
         assert out["tensor_defect"].holds
         assert out["argmax_ball"].holds
+
+
+def test_oversized_product_refused_before_any_convolution(tmp_path, monkeypatch,
+                                                          capsys):
+    # the seminorm guard runs before the sup-convolution and the partial
+    # inf-convolutions, and the command line checks the size before it
+    # draws f of size^n
+    calls = []
+
+    def spy(name):
+        real = getattr(infconv, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("p_conv", "partial_q"):
+        monkeypatch.setattr(infconv, name, spy(name))
+    space = grid1d_space(17, 0.1)
+    with pytest.raises(ValueError, match="4913 product points"):
+        lemma_bounds(PowerYoung(2, 2), np.zeros((17,) * 3), 0.4, space, 3)
+    assert calls == []
+
+    def never(*args, **kwargs):
+        raise AssertionError("lemma_bounds ran on an oversized product")
+
+    monkeypatch.setattr(cli, "lemma_bounds", never)
+    path = tmp_path / "path.json"
+    path.write_text('{"generator": {"kind": "path", "count": 9}}')
+    assert cli.main(["lemma-bounds", "--alpha", "power:2,2", "--seed", "1",
+                     "--order", "4", "--space-file", str(path),
+                     "--output-dir", str(tmp_path)]) == 1
+    assert "6561 product points" in capsys.readouterr().err
+    assert calls == []

@@ -16,7 +16,6 @@ from ineqlab.spaces import (
     measure_from_dict,
     path_space,
     relative_entropy,
-    slope,
     slope_vector,
     space_from_dict,
     two_point_space,
@@ -166,14 +165,14 @@ class TestExpEntropy:
 class TestSlope:
     def test_constant_is_flat(self):
         space = path_space(4)
-        assert slope(space, np.zeros(4), 2, "+") == 0.0
+        assert float(slope_vector(space, np.zeros(4), "+")[2]) == 0.0
 
     def test_two_point_example(self):
         space = two_point_space(2.0)
         f = np.array([0.0, 3.0])
-        assert slope(space, f, 0, "+") == pytest.approx(1.5)
-        assert slope(space, f, 0, "-") == 0.0
-        assert slope(space, f, 1, "-") == pytest.approx(1.5)
+        assert float(slope_vector(space, f, "+")[0]) == pytest.approx(1.5)
+        assert float(slope_vector(space, f, "-")[0]) == 0.0
+        assert float(slope_vector(space, f, "-")[1]) == pytest.approx(1.5)
 
     def test_signs_swap_under_negation(self, rng):
         space = path_space(6, 0.7)
@@ -194,15 +193,16 @@ class TestSlope:
         space = path_space(5, 1.0)
         adj = grid_adjacency(5)
         f = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
-        assert slope(space, f, 0, "+", adj) == pytest.approx(1.0)
+        assert float(slope_vector(space, f, "+", adj)[0]) == pytest.approx(1.0)
         # global mode compares every difference quotient, not just neighbors
-        assert slope(space, f, 0, "+") == pytest.approx(
+        assert float(slope_vector(space, f, "+")[0]) == pytest.approx(
             max(1.0 / 1.0, 0.0, 2.0 / 3.0, 0.0))
 
     def test_isolated_point_flagged_as_zero(self):
         space = path_space(3)
         adj = [np.array([], dtype=int)] * 3
-        assert slope(space, np.array([1.0, 5.0, -2.0]), 1, "+", adj) == 0.0
+        f = np.array([1.0, 5.0, -2.0])
+        assert float(slope_vector(space, f, "+", adj)[1]) == 0.0
 
 
 class TestProduct:

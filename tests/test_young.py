@@ -17,12 +17,10 @@ from ineqlab.young import (
     change_metric,
     conjugate_numeric,
     epsilon_value,
-    exponents,
     power_extended,
     validate_young,
     xi_numeric,
     xi_upper_bound,
-    xi_value,
 )
 
 PAIRS = [(2.0, 2.0), (2.0, 1.5), (3.0, 2.0), (2.0, 3.0)]
@@ -125,19 +123,19 @@ class TestExponents:
                                            (3, 2, 2, 3), (2, 3, 2, 3),
                                            (2, 1.5, 1.5, 2)])
     def test_power_closed_form(self, p1, p2, r, p):
-        pair = exponents(PowerYoung(p1, p2))
+        pair = PowerYoung(p1, p2).exponents()
         assert pair.r_exp == pytest.approx(r, abs=1e-9)
         assert pair.p_exp == pytest.approx(p, abs=1e-9)
 
     def test_doubling_constant_pure_power(self):
         for p in (2.0, 2.5, 3.0):
-            assert exponents(PowerYoung(p, p)).delta2 == pytest.approx(2.0**p)
+            assert PowerYoung(p, p).exponents().delta2 == pytest.approx(2.0**p)
 
     def test_tabulated_quadratic(self):
         # geometric abscissae resolve the origin, where chord slopes of a
         # uniformly-spaced table would understate the growth ratio
         xs = np.concatenate([[0.0], np.geomspace(1e-4, 50, 8000)])
-        pair = exponents(TabulatedYoung(xs, xs**2))
+        pair = TabulatedYoung(xs, xs**2).exponents()
         assert pair.r_exp == pytest.approx(2.0, abs=5e-3)
         assert pair.p_exp == pytest.approx(2.0, abs=5e-3)
         assert pair.delta2 == pytest.approx(4.0, rel=5e-3)
@@ -165,33 +163,33 @@ class TestExponents:
                 return _exponents_numeric(self)
 
         with pytest.raises(Delta2ViolationError):
-            exponents(Exploding())
+            Exploding().exponents()
 
 
 class TestXi:
     def test_quadratic_identity(self):
-        assert xi_value(PowerYoung(2, 2), 0.25) == pytest.approx(0.25)
+        assert PowerYoung(2, 2).xi(0.25) == pytest.approx(0.25)
 
     def test_value_at_one(self):
-        assert xi_value(PowerYoung(3, 2), 1.0) == pytest.approx(2.0)
+        assert PowerYoung(3, 2).xi(1.0) == pytest.approx(2.0)
 
     def test_flat_then_steep_branch(self):
-        assert xi_value(PowerYoung(2, 3), 4.0) == pytest.approx(4.0)
+        assert PowerYoung(2, 3).xi(4.0) == pytest.approx(4.0)
 
     def test_numeric_agreement(self):
         xs = np.geomspace(0.01, 10.0, 40)
         for p1, p2 in PAIRS:
             a = PowerYoung(p1, p2)
             for x in xs:
-                closed = xi_value(a, float(x))
+                closed = a.xi(float(x))
                 numeric = xi_numeric(a, float(x))
                 assert numeric == pytest.approx(closed, rel=1e-5)
 
     def test_bounded_slope_blows_up_past_one(self):
         a = PowerYoung(2, 1)
-        assert xi_value(a, 0.5) == pytest.approx(0.5)
-        assert xi_value(a, 1.0) == pytest.approx(1.0)
-        assert math.isinf(xi_value(a, 1.0001))
+        assert a.xi(0.5) == pytest.approx(0.5)
+        assert a.xi(1.0) == pytest.approx(1.0)
+        assert math.isinf(a.xi(1.0001))
         assert math.isinf(xi_numeric(a, 2.0))
 
     def test_numeric_handles_bounded_slope_table(self):
@@ -208,10 +206,10 @@ class TestXi:
         xs = np.geomspace(0.01, 10.0, 1000)
         for p1, p2 in PAIRS + [(2.0, 1.0)]:
             a = PowerYoung(p1, p2)
-            pair = exponents(a)
+            pair = a.exponents()
             for x in xs:
                 bound = xi_upper_bound(pair, float(x))
-                val = xi_value(a, float(x))
+                val = a.xi(float(x))
                 if math.isinf(bound):
                     continue
                 assert val <= bound * (1 + 1e-12)
@@ -224,7 +222,7 @@ class TestXi:
         # minus-route limit is the Herbst value at 1, unscaled as well as
         # scaled
         for a in (PowerYoung(p1, 1), ScaledYoung(PowerYoung(p1, 1), c)):
-            assert math.isinf(xi_value(a, math.nextafter(1.0, 2.0)))
+            assert math.isinf(a.xi(math.nextafter(1.0, 2.0)))
             assert minus_route_constant(a, a_premise) == math.exp(
                 _herbst_integral(a, a_premise, 1.0, +1.0, p1))
 
@@ -249,8 +247,7 @@ class TestXi:
 
     def test_scaling_invariance(self):
         a = PowerYoung(3, 2)
-        assert xi_value(ScaledYoung(a, 3.7), 0.4) == pytest.approx(
-            xi_value(a, 0.4))
+        assert ScaledYoung(a, 3.7).xi(0.4) == pytest.approx(a.xi(0.4))
 
 
 class TestEpsilon:
@@ -299,7 +296,7 @@ class TestChangeMetric:
            pair=st.sampled_from(PAIRS + [(2.0, 1.0)]))
     def test_root_subadditivity(self, x, y, pair):
         a = PowerYoung(*pair)
-        p = exponents(a).p_exp
+        p = a.exponents().p_exp
         lhs = a(x + y) ** (1 / p)
         rhs = a(x) ** (1 / p) + a(y) ** (1 / p)
         assert lhs <= rhs * (1 + 1e-12)
@@ -333,6 +330,10 @@ def test_tabulated_one_sided_slopes_at_knots():
     assert t.left_derivative(0.0) == 0.0
     # beyond the table the last slope extends
     assert t.right_derivative(5.0) == pytest.approx(3.0)
+    # at the last knot and at +-inf both sides read the last slope
+    edge = np.array([2.0, 5.0, np.inf, -np.inf, -5.0])
+    assert np.array_equal(t.right_derivative(edge), np.full(5, 3.0))
+    assert np.array_equal(t.left_derivative(edge), np.full(5, 3.0))
 
 
 def test_load_table_prepends_origin(tmp_path):
@@ -427,13 +428,13 @@ def test_batched_xi_matches_scalar_oracle(name, xs):
 def test_batched_xi_scalar_in_scalar_out():
     a = PowerYoung(3, 2)
     assert isinstance(xi_numeric(a, 0.5), float)
-    assert isinstance(xi_value(a, 0.5), float)
+    assert isinstance(a.xi(0.5), float)
     xs = np.geomspace(0.1, 4.0, 6).reshape(2, 3)
     got = xi_numeric(a, xs)
     assert got.shape == (2, 3)
     assert got[1, 2] == xi_numeric(a, float(xs[1, 2]))
-    assert np.array_equal(xi_value(a, xs),
-                          [[xi_value(a, float(x)) for x in row] for row in xs])
+    assert np.array_equal(a.xi(xs),
+                          [[a.xi(float(x)) for x in row] for row in xs])
     with pytest.raises(ValueError):
         xi_numeric(a, np.array([0.5, 0.0]))
 
