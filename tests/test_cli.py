@@ -230,7 +230,7 @@ class TestSpaceErrors:
         ({"kind": "path", "count": 5, "step": 0.1}, "step"),
         ({"kind": "grid1d", "count": "five", "spacing": 0.1}, "count"),
         ({"kind": "grid1d", "count": 5, "spacing": 0.0}, "spacing"),
-    ])
+    ], ids=["no-spacing", "unknown-step", "count-five", "zero-spacing"])
     def test_bad_generator_exit_one(self, generator, field, tmp_path, monkeypatch,
                                     capsys):
         # a missing, unknown or out-of-range field is a config error naming
