@@ -3,11 +3,12 @@
 Three routes to the same number, kept deliberately independent, and one
 feasible upper bound:
 
-* :func:`optimal_cost` solves the transport linear program once (HiGHS,
-  presolve off) and certifies optimality with feasible Kantorovich
-  potentials and a duality gap below 1e-9; SciPy's HiGHS returns the
-  equality duals with the sign of phi_i + psi_j <= c_ij, so they are
-  used as they come;
+* :func:`optimal_cost` solves the transport linear program once, straight
+  through SciPy's bundled HiGHS bindings (:func:`linprog`: dual simplex,
+  presolve off, one cached model per size), checks the plan against its
+  marginals and certifies optimality with feasible Kantorovich potentials
+  and a duality gap below 1e-9; HiGHS returns the row duals with the sign
+  of phi_i + psi_j <= c_ij, so they are used as they come;
 * :func:`brute_force_cost` enumerates the basic feasible solutions of the
   transport polytope through spanning-tree bases of the complete bipartite
   graph (exact primal reference for tiny instances);
@@ -24,7 +25,8 @@ feasible upper bound:
 
 The brute-force oracle and the scanner read one cached table per size: the
 edges and inverse bases of every spanning tree of K_{n,n}
-(:func:`_tree_bases`).
+(:func:`_tree_bases`); the LP reads one cached HiGHS model per size, whose
+constraint matrix and bounds never change (:func:`_transport_lp`).
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, eye, kron, vstack
+import scipy.optimize._highspy._core as _highs
 
 from .spaces import FiniteMetricSpace, ProbMeasure
 from .young import YoungFunction
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 _DUAL_GAP_TOL = 1e-9
+# largest negative entry and marginal residual a solved plan may have: the
+# 10 * sqrt(1e-9) that SciPy's linprog applies in its own result check
+_PRIMAL_TOL = 10 * np.sqrt(1e-9)
 # largest reduced-cost violation a tree's potentials may have and still
 # count as a dual vertex (the excess is subtracted, so values stay bounds)
 _DUAL_FEAS_TOL = 1e-10
@@ -84,54 +88,104 @@ def cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
     return m
 
 
-@functools.lru_cache(maxsize=None)
-def _marginal_constraints(n: int) -> csr_matrix:
-    """Row-sum then column-sum constraints on a row-major n x n plan."""
-    ones = csr_matrix(np.ones((1, n)))
-    ident = eye(n, format="csr")
-    return vstack([kron(ident, ones), kron(ones, ident)]).tocsr()
+@functools.cache
+def _transport_lp(n: int) -> _highs.HighsLp:
+    """The n x n transport LP without its costs and marginals, built once
+    per size: the bounds 0 <= x < inf and the column-wise (CSC) row-sum
+    then column-sum constraints on a row-major plan, where column i*n + j
+    has a one in row i and one in row n + j.  :func:`linprog` sets the
+    costs and row bounds before each solve."""
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n * n
+    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    i, j = np.divmod(np.arange(n * n), n)
+    lp.a_matrix_.start_ = np.arange(0, 2 * n * n + 1, 2)
+    lp.a_matrix_.index_ = np.column_stack([i, n + j]).ravel()
+    lp.a_matrix_.value_ = np.ones(2 * n * n)
+    lp.col_lower_ = np.zeros(n * n)
+    lp.col_upper_ = np.full(n * n, _highs.kHighsInf)
+    return lp
+
+
+@functools.cache
+def _highs_options() -> _highs.HighsOptions:
+    """The options SciPy's linprog(method="highs") passes to HiGHS with
+    presolve off: dual simplex, no output."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "off"
+    strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.simplex_strategy = int(strategy)
+    opts.output_flag = False
+    opts.log_to_console = False
+    return opts
+
+
+def linprog(costs: np.ndarray,
+            b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One HiGHS solve of min costs.x subject to the marginal constraints
+    of an n x n plan equal to ``b_eq`` (row sums then column sums) and
+    x >= 0.  Returns the row-major plan x, the row duals and the objective,
+    bit for bit what SciPy's ``linprog(..., method="highs",
+    options={"presolve": False})`` returns as x, eqlin.marginals and fun.
+    A model status other than optimal raises :class:`SolverFailure`."""
+    # the cached model is shared: it is filled here and copied by passModel
+    # at once, so one thread at a time may solve a given size
+    lp = _transport_lp(b_eq.size // 2)
+    lp.col_cost_ = costs
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    highs = _highs._Highs()
+    highs.passOptions(_highs_options())
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise SolverFailure(f"HiGHS model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return (np.array(solution.col_value), np.array(solution.row_dual),
+            highs.getInfo().objective_function_value)
 
 
 def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
                  nu: ProbMeasure, mu: ProbMeasure) -> tuple[float, TransportPlan]:
     """Minimal coupling cost of (nu, mu) under the cost alpha(d).
 
-    Row marginals are nu, column marginals mu.  Optimality is certified by
-    the returned potentials: phi(i) + psi(j) <= cost(i, j) everywhere and
-    phi.nu + psi.mu matches the primal value, both within 1e-9, or
+    Row marginals are nu, column marginals mu.  The plan must be
+    nonnegative and meet both marginals within 10 * sqrt(1e-9), the
+    tolerance of SciPy's linprog result check; optimality is certified by the
+    returned potentials: phi(i) + psi(j) <= cost(i, j) everywhere and
+    phi.nu + psi.mu matches the primal value, both within 1e-9.  Otherwise
     :class:`SolverFailure` is raised.
 
-    HiGHS runs once, without presolve.  Presolve can misread marginals
-    near or below its feasibility tolerance (about 1e-7, as in the tails of
-    a discretized Gaussian) as an infeasible LP, although the transport
-    polytope is never empty for equal total masses; and these LPs also
-    solve faster without it.
+    HiGHS runs once (:func:`linprog`, on the cached model of the size),
+    without presolve.  Presolve can misread marginals near or below its
+    feasibility tolerance (about 1e-7, as in the tails of a discretized
+    Gaussian) as an infeasible LP, although the transport polytope is never
+    empty for equal total masses; and these LPs also solve faster without
+    it.
     """
     n = space.size
     if nu.size != n or mu.size != n:
         raise ValueError("measures must live on the space")
     costs = cost_matrix(alpha, space)
-    a_eq = _marginal_constraints(n)
-    b_eq = np.concatenate([nu.weights, mu.weights])
-    # one solve, presolve off: presolve can misread sub-tolerance marginals
-    # as infeasible (see the docstring)
-    res = linprog(costs.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options={"presolve": False})
-    if res.status != 0:
-        raise SolverFailure(f"linprog status {res.status}: {res.message}")
-    plan = res.x.reshape(n, n)
-    y = np.asarray(res.eqlin.marginals, dtype=float)
+    x, y, cost = linprog(costs.ravel(), np.concatenate([nu.weights, mu.weights]))
+    plan = x.reshape(n, n)
+    row_residual = float(np.abs(plan.sum(axis=1) - nu.weights).max())
+    col_residual = float(np.abs(plan.sum(axis=0) - mu.weights).max())
+    # np.max keeps a NaN, which then fails the comparison
+    residual = float(np.max([row_residual, col_residual, -plan.min()]))
+    if not residual <= _PRIMAL_TOL or np.isnan(cost):
+        raise SolverFailure(f"primal residual {residual:.3g} exceeds {_PRIMAL_TOL:.3g}")
     phi, psi = y[:n], y[n:]
     violation = float((phi[:, None] + psi[None, :] - costs).max())
     if violation > _DUAL_GAP_TOL:
         raise SolverFailure(f"dual potentials violate the cost by {violation:.3g}")
-    cost = float(res.fun)
     gap = cost - float(phi @ nu.weights + psi @ mu.weights)
     out = TransportPlan(
         matrix=plan,
         cost=cost,
-        row_residual=float(np.abs(plan.sum(axis=1) - nu.weights).max()),
-        col_residual=float(np.abs(plan.sum(axis=0) - mu.weights).max()),
+        row_residual=row_residual,
+        col_residual=col_residual,
         potential_source=phi,
         potential_target=psi,
         dual_gap=gap,

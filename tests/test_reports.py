@@ -1,11 +1,13 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ineqlab.reports import build_report
+from ineqlab.reports import build_report, write_csv, write_json
 
 SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -55,3 +57,16 @@ def test_report_json_round_trip(payload):
     loaded = json.loads(json.dumps(report))
     _assert_decodes_to(loaded["result"], payload)
     assert loaded["seed"] == 0 and loaded["schema"] == report["schema"]
+
+
+def test_reports_get_the_umask_mode(tmp_path):
+    # the same mode a plain open() gives: 0644 under umask 022
+    old = os.umask(0o022)
+    try:
+        write_json(build_report("estimate", {}, {"value": 1.0}, seed=0),
+                   str(tmp_path / "r.json"))
+        write_csv([{"a": 1.0}], str(tmp_path / "r.csv"))
+    finally:
+        os.umask(old)
+    for name in ("r.json", "r.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644

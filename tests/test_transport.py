@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog as scipy_linprog
+from scipy.sparse import csr_matrix, eye, kron, vstack
 
 from conftest import random_measure, random_metric_space
 from ineqlab.spaces import (
     FiniteMetricSpace,
     ProbMeasure,
+    cycle_space,
     grid1d_space,
     measure_from_dict,
     path_space,
@@ -199,14 +202,12 @@ class TestInvariants:
         mu = random_measure(rng, 4)
         real = transport.linprog
 
-        def infeasible(*args, **kwargs):
-            res = real(*args, **kwargs)
-            y = np.asarray(res.eqlin.marginals, dtype=float)
+        def infeasible(*args):
+            x, y, fun = real(*args)
             sign = 1.0 if (y[:4, None] + y[None, 4:] - costs).max() <= 1e-7 else -1.0
             phi, psi = sign * y[:4], sign * y[4:]
             phi[0] += 5e-8 - (phi[0] + psi - costs[0]).max()
-            res.eqlin.marginals = sign * np.concatenate([phi, psi])
-            return res
+            return x, sign * np.concatenate([phi, psi]), fun
 
         monkeypatch.setattr(transport, "linprog", infeasible)
         with pytest.raises(SolverFailure, match="dual potentials"):
@@ -370,6 +371,94 @@ def test_gaussian_grid_tail_masses_solve_once():
     cost, plan = _solve_once(a, space, nu, mu)
     exact = northwest_corner_cost(a, space, nu, mu)
     _assert_near_exact(a, space, nu, mu, cost, plan, exact, 2e-9)
+
+
+def _kron_constraints(n):
+    """Oracle: the marginal constraint matrix built with scipy.sparse, row
+    sums then column sums of a row-major n x n plan."""
+    ones = csr_matrix(np.ones((1, n)))
+    ident = eye(n, format="csr")
+    return vstack([kron(ident, ones), kron(ones, ident)]).tocsc()
+
+
+def test_cached_model_matches_sparse_construction():
+    for n in range(2, 10):
+        # kron stores the zeros of a dense-enough factor's blocks (n = 2);
+        # HiGHS drops them when it takes the model
+        want = _kron_constraints(n)
+        want.eliminate_zeros()
+        a = transport._transport_lp(n).a_matrix_
+        assert np.array_equal(a.start_, want.indptr)
+        assert np.array_equal(a.index_, want.indices)
+        assert np.array_equal(a.value_, want.data)
+
+
+def _assert_matches_scipy(a, space, nu, mu):
+    """transport.linprog returns x, the row duals and the objective of
+    scipy's linprog on the same LP (HiGHS, presolve off) bit for bit."""
+    n = space.size
+    c = cost_matrix(a, space).ravel()
+    b = np.concatenate([nu.weights, mu.weights])
+    want = scipy_linprog(c, A_eq=_kron_constraints(n), b_eq=b, bounds=(0, None),
+                         method="highs", options={"presolve": False})
+    assert want.status == 0
+    x, y, fun = transport.linprog(c, b)
+    assert np.array_equal(x, want.x)
+    assert np.array_equal(y, want.eqlin.marginals)
+    assert fun == want.fun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), cost=st.integers(0, 2),
+       layout=st.sampled_from(["planar", "path", "cycle"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_linprog_matches_scipy_linprog(n, cost, layout, seed):
+    # pins the direct HiGHS binding to the wrapper it replaces: an
+    # ordinary pair, a zero-mass source and sub-tolerance marginals
+    rng = np.random.default_rng(seed)
+    spacing = float(rng.uniform(0.2, 1.5))
+    space = {"planar": lambda: random_metric_space(rng, n, min_sep=0.0),
+             "path": lambda: path_space(n, spacing),
+             "cycle": lambda: cycle_space(n, spacing)}[layout]()
+    zero = rng.dirichlet(np.ones(n))
+    zero[rng.integers(0, n)] = 0.0
+    pairs = [(random_measure(rng, n), random_measure(rng, n)),
+             (ProbMeasure(zero / zero.sum()), random_measure(rng, n)),
+             (_sub_tolerance_measure(rng, n), _sub_tolerance_measure(rng, n))]
+    for nu, mu in pairs:
+        _assert_matches_scipy(COSTS[cost], space, nu, mu)
+
+
+def test_linprog_matches_scipy_linprog_on_gaussian_grid():
+    space = grid1d_space(101, 0.1, start=-5.0)
+    mu = measure_from_dict({"density": "exp(-x**2/2)"}, space)
+    nu = ProbMeasure(next(inequalities._tilt_starts(space, mu.weights)))
+    _assert_matches_scipy(PowerYoung(2, 2), space, nu, mu)
+
+
+def test_unequal_totals_raise():
+    # no plan meets marginals of different total mass: HiGHS reports the
+    # model infeasible
+    space = path_space(4)
+    c = cost_matrix(PowerYoung(2, 2), space).ravel()
+    b = np.concatenate([np.full(4, 0.25), np.full(4, 0.3)])
+    with pytest.raises(SolverFailure, match="Infeasible"):
+        transport.linprog(c, b)
+
+
+def test_off_marginal_plan_raises(rng, monkeypatch):
+    space = random_metric_space(rng, 4)
+    nu, mu = random_measure(rng, 4), random_measure(rng, 4)
+    real = transport.linprog
+
+    def off_by(*args):
+        x, y, fun = real(*args)
+        x[0] += 1e-3
+        return x, y, fun
+
+    monkeypatch.setattr(transport, "linprog", off_by)
+    with pytest.raises(SolverFailure, match="primal residual"):
+        optimal_cost(PowerYoung(2, 2), space, nu, mu)
 
 
 def _northwest_corner_reference(alpha, space, src, dst):
