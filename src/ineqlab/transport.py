@@ -3,12 +3,13 @@
 Three routes to the same number, kept deliberately independent, and one
 feasible upper bound:
 
-* :func:`optimal_cost` solves the transport linear program once, straight
+* :func:`optimal_cost` solves the transport linear program straight
   through SciPy's bundled HiGHS bindings (:func:`linprog`: dual simplex,
-  presolve off, one cached model per size), checks the plan against its
-  marginals and certifies optimality with feasible Kantorovich potentials
-  and a duality gap below 1e-9; HiGHS returns the row duals with the sign
-  of phi_i + psi_j <= c_ij, so they are used as they come;
+  presolve off, by column generation from a shortlist of cheap cells,
+  priced against the duals over all n^2 cells), checks the plan against
+  its marginals and certifies optimality with feasible Kantorovich
+  potentials and a duality gap below 1e-9; HiGHS returns the row duals
+  with the sign of phi_i + psi_j <= c_ij, so they are used as they come;
 * :func:`brute_force_cost` enumerates the basic feasible solutions of the
   transport polytope through spanning-tree bases of the complete bipartite
   graph (exact primal reference for tiny instances);
@@ -25,8 +26,8 @@ feasible upper bound:
 
 The brute-force oracle and the scanner read one cached table per size: the
 edges and inverse bases of every spanning tree of K_{n,n}
-(:func:`_tree_bases`); the LP reads one cached HiGHS model per size, whose
-constraint matrix and bounds never change (:func:`_transport_lp`).
+(:func:`_tree_bases`).  Each LP solve builds its own HiGHS model on its
+columns (:func:`_transport_lp`), so solves share no state.
 """
 
 from __future__ import annotations
@@ -56,8 +57,13 @@ _DUAL_GAP_TOL = 1e-9
 # 10 * sqrt(1e-9) that SciPy's linprog applies in its own result check
 _PRIMAL_TOL = 10 * np.sqrt(1e-9)
 # largest reduced-cost violation a tree's potentials may have and still
-# count as a dual vertex (the excess is subtracted, so values stay bounds)
+# count as a dual vertex (the excess is subtracted, so values stay bounds),
+# and that a cell outside linprog's columns may have and stay out
 _DUAL_FEAS_TOL = 1e-10
+# cheapest cells of each row and of each column in linprog's first columns:
+# a smaller k solves a Gaussian line faster but needs more re-solves on
+# planar and cycle spaces, where k <= 4 is slower than the dense LP
+_SHORTLIST_K = 8
 # most negative flow a spanning tree's basic solution may carry and still
 # count as feasible in brute_force_cost
 _TREE_FEAS_TOL = 1e-10
@@ -88,24 +94,25 @@ def cost_matrix(alpha: YoungFunction, space: FiniteMetricSpace,
     return m
 
 
-@functools.cache
-def _transport_lp(n: int) -> _highs.HighsLp:
-    """The n x n transport LP without its costs and marginals, built once
-    per size: the bounds 0 <= x < inf and the column-wise (CSC) row-sum
-    then column-sum constraints on a row-major plan, where column i*n + j
-    has a one in row i and one in row n + j.  :func:`linprog` sets the
-    costs and row bounds before each solve."""
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n * n
-    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    i, j = np.divmod(np.arange(n * n), n)
-    lp.a_matrix_.start_ = np.arange(0, 2 * n * n + 1, 2)
-    lp.a_matrix_.index_ = np.column_stack([i, n + j]).ravel()
-    lp.a_matrix_.value_ = np.ones(2 * n * n)
-    lp.col_lower_ = np.zeros(n * n)
-    lp.col_upper_ = np.full(n * n, _highs.kHighsInf)
-    return lp
+def _transport_lp(costs: np.ndarray, b_eq: np.ndarray,
+                  cols: np.ndarray) -> tuple:
+    """The arguments of HiGHS's array ``passModel`` for the transport LP of
+    an n x n plan restricted to the cells ``cols`` (ascending row-major
+    indices): the sizes, minimisation, their costs, the bounds
+    0 <= x < inf, every row equal to its entry of ``b_eq``, the column-wise
+    (CSC) row-sum then column-sum constraints, where the column of cell
+    i*n + j has a one in row i and one in row n + j, and every column
+    continuous.  Arrays go to HiGHS as they are; setting the fields of a
+    ``HighsLp`` instead converts them element by element."""
+    n = b_eq.size // 2
+    m = cols.size
+    i, j = np.divmod(cols, n)
+    return (m, 2 * n, 2 * m, int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0,
+            costs[cols], np.zeros(m), np.full(m, _highs.kHighsInf), b_eq, b_eq,
+            np.arange(0, 2 * m + 1, 2, dtype=np.int32),
+            np.column_stack([i, n + j]).ravel().astype(np.int32), np.ones(2 * m),
+            np.zeros(m, dtype=np.int32))
 
 
 @functools.cache
@@ -121,29 +128,68 @@ def _highs_options() -> _highs.HighsOptions:
     return opts
 
 
-def linprog(costs: np.ndarray,
-            b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """One HiGHS solve of min costs.x subject to the marginal constraints
-    of an n x n plan equal to ``b_eq`` (row sums then column sums) and
-    x >= 0.  Returns the row-major plan x, the row duals and the objective,
+def _highs_run(costs: np.ndarray, b_eq: np.ndarray,
+               cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One HiGHS solve of the transport LP on the plan cells ``cols``
+    (:func:`_transport_lp`).  Returns the row-major plan x, zero outside
+    ``cols``, the row duals and the objective; over all n^2 cells these are
     bit for bit what SciPy's ``linprog(..., method="highs",
     options={"presolve": False})`` returns as x, eqlin.marginals and fun.
     A model status other than optimal raises :class:`SolverFailure`."""
-    # the cached model is shared: it is filled here and copied by passModel
-    # at once, so one thread at a time may solve a given size
-    lp = _transport_lp(b_eq.size // 2)
-    lp.col_cost_ = costs
-    lp.row_lower_ = lp.row_upper_ = b_eq
     highs = _highs._Highs()
     highs.passOptions(_highs_options())
-    highs.passModel(lp)
+    highs.passModel(*_transport_lp(costs, b_eq, cols))
     highs.run()
     status = highs.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
         raise SolverFailure(f"HiGHS model status {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
-    return (np.array(solution.col_value), np.array(solution.row_dual),
-            highs.getInfo().objective_function_value)
+    x = np.zeros(costs.size)
+    x[cols] = solution.col_value
+    return x, np.array(solution.row_dual), highs.getInfo().objective_function_value
+
+
+def _shortlist(costs: np.ndarray, b_eq: np.ndarray) -> np.ndarray:
+    """The first cells of :func:`linprog`, as an n x n mask: the
+    ``_SHORTLIST_K`` cheapest cells of each row and of each column, and the
+    support of the north-west-corner plan of the marginals, which is
+    feasible whenever the full LP is.  Every cell when n <= _SHORTLIST_K."""
+    n = costs.shape[0]
+    if n <= _SHORTLIST_K:
+        return np.ones((n, n), dtype=bool)
+    keep = np.zeros((n, n), dtype=bool)
+    rows = np.argpartition(costs, _SHORTLIST_K - 1, axis=1)[:, :_SHORTLIST_K]
+    keep[np.arange(n)[:, None], rows] = True
+    cols = np.argpartition(costs, _SHORTLIST_K - 1, axis=0)[:_SHORTLIST_K]
+    keep[cols, np.arange(n)[None, :]] = True
+    for i, j, _ in _northwest_walk(b_eq[:n].tolist(), b_eq[n:].tolist()):
+        keep[i, j] = True
+    return keep
+
+
+def linprog(costs: np.ndarray,
+            b_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Min costs.x subject to the marginal constraints of an n x n plan
+    equal to ``b_eq`` (row sums then column sums) and x >= 0, by column
+    generation (the shortlist method of Gottschlich & Schuhmacher, PLoS ONE
+    9, 2014).  HiGHS solves the LP on the cells of :func:`_shortlist`
+    (:func:`_highs_run`); every cell outside them whose reduced cost
+    c_ij - phi_i - psi_j under the returned row duals is below
+    -_DUAL_FEAS_TOL joins them, and the LP is solved again, until no cell
+    is left to add.  The cells only grow, so this ends, at the latest on
+    the full LP.  Returns the row-major plan x, the row duals and the
+    objective of the last solve; for n <= _SHORTLIST_K that is the one
+    dense solve.  A model status other than optimal raises
+    :class:`SolverFailure`."""
+    n = b_eq.size // 2
+    c = costs.reshape(n, n)
+    keep = _shortlist(c, b_eq)
+    while True:
+        x, y, fun = _highs_run(costs, b_eq, np.flatnonzero(keep))
+        add = (y[:n, None] + y[None, n:] - c > _DUAL_FEAS_TOL) & ~keep
+        if not add.any():
+            return x, y, fun
+        keep |= add
 
 
 def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
@@ -157,12 +203,13 @@ def optimal_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     phi.nu + psi.mu matches the primal value, both within 1e-9.  Otherwise
     :class:`SolverFailure` is raised.
 
-    HiGHS runs once (:func:`linprog`, on the cached model of the size),
-    without presolve.  Presolve can misread marginals near or below its
-    feasibility tolerance (about 1e-7, as in the tails of a discretized
-    Gaussian) as an infeasible LP, although the transport polytope is never
-    empty for equal total masses; and these LPs also solve faster without
-    it.
+    :func:`linprog` is called once; it runs HiGHS without presolve on a
+    growing set of columns until no other cell prices below zero.  Presolve
+    can misread marginals near or below its feasibility tolerance (about
+    1e-7, as in the tails of a discretized Gaussian) as an infeasible LP,
+    although the transport polytope is never empty for equal total masses;
+    and these LPs also solve faster without it.  The certificate is checked
+    here on the full cost matrix, whatever columns the last solve used.
     """
     n = space.size
     if nu.size != n or mu.size != n:
@@ -293,34 +340,44 @@ def northwest_corner_cost(alpha: YoungFunction, space: FiniteMetricSpace,
     return out if batch else float(out[0])
 
 
+def _northwest_walk(src: list[float], dst: list[float]):
+    """The steps (i, j, m) of the north-west-corner coupling of the masses
+    ``src`` and ``dst``: m, the smaller of the remaining masses of source i
+    and target j, is shipped from i to j, then the walk moves down past an
+    exhausted source or right past a filled target, until it leaves the
+    plan."""
+    n = len(dst)
+    i = j = 0
+    a, b = src[0], dst[0]
+    while True:
+        m = min(a, b)
+        yield i, j, m
+        a -= m
+        b -= m
+        if a <= b:  # source i is exhausted
+            i += 1
+            if i == n:
+                return
+            a = src[i]
+        else:
+            j += 1
+            if j == n:
+                return
+            b = dst[j]
+
+
 def _northwest_corner(costs: np.ndarray, srcs: np.ndarray,
                       dst: np.ndarray) -> np.ndarray:
     """North-west-corner cost of each row of ``srcs`` against ``dst``: the
-    cost matrix is listed once, and each row runs the same Python float
-    loop."""
+    cost matrix is listed once, and each row sums its walk in the same
+    Python float loop."""
     c = costs.tolist()
     dst = dst.tolist()
-    n = len(dst)
     out = []
     for src in srcs.tolist():
-        i = j = 0
-        a, b = src[0], dst[0]
         total = 0.0
-        while True:
-            m = min(a, b)
+        for i, j, m in _northwest_walk(src, dst):
             total += m * c[i][j]
-            a -= m
-            b -= m
-            if a <= b:  # source i is exhausted
-                i += 1
-                if i == n:
-                    break
-                a = src[i]
-            else:
-                j += 1
-                if j == n:
-                    break
-                b = dst[j]
         out.append(total)
     return np.array(out, dtype=float)
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -325,11 +327,17 @@ def _assert_near_exact(a, space, nu, mu, cost, plan, exact, tol):
     p = plan.matrix
     assert float(p.min()) >= -1e-7
     assert max(plan.row_residual, plan.col_residual) <= 1e-7
+    slack = _infeasibility_slack(cost_matrix(a, space), nu, mu, p)
+    assert exact - tol - slack <= cost <= exact + tol
+
+
+def _infeasibility_slack(costs, nu, mu, p):
+    """How far below the exact cost the plan p may price: max c times
+    the mass its negative part and its marginal errors move."""
     pos = np.maximum(p, 0.0)
     moved = (np.abs(pos.sum(axis=1) - nu.weights).sum()
              + np.abs(pos.sum(axis=0) - mu.weights).sum() + (pos - p).sum())
-    slack = cost_matrix(a, space).max() * moved
-    assert exact - tol - slack <= cost <= exact + tol
+    return costs.max() * moved
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -381,31 +389,85 @@ def _kron_constraints(n):
     return vstack([kron(ident, ones), kron(ones, ident)]).tocsc()
 
 
-def test_cached_model_matches_sparse_construction():
+def test_restricted_model_matches_sparse_construction(rng):
     for n in range(2, 10):
-        # kron stores the zeros of a dense-enough factor's blocks (n = 2);
-        # HiGHS drops them when it takes the model
+        # kron stores the zeros of a dense-enough factor's blocks (n = 2)
         want = _kron_constraints(n)
         want.eliminate_zeros()
-        a = transport._transport_lp(n).a_matrix_
-        assert np.array_equal(a.start_, want.indptr)
-        assert np.array_equal(a.index_, want.indices)
-        assert np.array_equal(a.value_, want.data)
+        c = rng.uniform(size=n * n)
+        b = np.ones(2 * n)
+        subset = np.flatnonzero(rng.uniform(size=n * n) < 0.4)
+        for cols, a in [(np.arange(n * n), want), (subset, want[:, subset])]:
+            (num_col, num_row, num_nz, _, _, _, cost, lower, upper, row_lower,
+             row_upper, start, index, value, _) = transport._transport_lp(c, b, cols)
+            assert (num_col, num_row, num_nz) == (cols.size, 2 * n, a.nnz)
+            assert np.array_equal(start, a.indptr)
+            assert np.array_equal(index, a.indices)
+            assert np.array_equal(value, a.data)
+            assert np.array_equal(cost, c[cols])
+            assert np.all(lower == 0.0) and np.all(upper == np.inf)
+            assert np.array_equal(row_lower, b) and np.array_equal(row_upper, b)
 
 
-def _assert_matches_scipy(a, space, nu, mu):
-    """transport.linprog returns x, the row duals and the objective of
-    scipy's linprog on the same LP (HiGHS, presolve off) bit for bit."""
+def _assert_certified(costs, nu, mu, x, y, fun):
+    """The checks of optimal_cost on a solve of the full LP: a plan within
+    10 * sqrt(1e-9) of nonnegative with both marginals, and row duals
+    feasible on every cell with a duality gap, both within 1e-9."""
+    n = nu.size
+    plan = x.reshape(n, n)
+    assert float(plan.min()) >= -transport._PRIMAL_TOL
+    assert float(np.abs(plan.sum(axis=1) - nu.weights).max()) <= transport._PRIMAL_TOL
+    assert float(np.abs(plan.sum(axis=0) - mu.weights).max()) <= transport._PRIMAL_TOL
+    phi, psi = y[:n], y[n:]
+    assert float((phi[:, None] + psi[None, :] - costs).max()) <= 1e-9
+    assert abs(fun - float(phi @ nu.weights + psi @ mu.weights)) <= 1e-9
+
+
+def _lp_pairs(rng, n):
+    """An ordinary pair, a zero-mass source and sub-tolerance marginals."""
+    zero = rng.dirichlet(np.ones(n))
+    zero[rng.integers(0, n)] = 0.0
+    return [("ordinary", random_measure(rng, n), random_measure(rng, n)),
+            ("zero", ProbMeasure(zero / zero.sum()), random_measure(rng, n)),
+            ("sub", _sub_tolerance_measure(rng, n), _sub_tolerance_measure(rng, n))]
+
+
+def _lp_space(rng, n, layout):
+    spacing = float(rng.uniform(0.2, 1.5))
+    return {"planar": lambda: random_metric_space(rng, n, min_sep=0.0),
+            "path": lambda: path_space(n, spacing),
+            "cycle": lambda: cycle_space(n, spacing)}[layout]()
+
+
+def _assert_matches_scipy(a, space, nu, mu, ordinary=True):
+    """Over all columns, one HiGHS run returns x, the row duals and the
+    objective of scipy's linprog on the same LP (HiGHS, presolve off) bit
+    for bit.  Column generation returns a certified solution, and on
+    ``ordinary`` marginals its objective is scipy's within 1e-12 relative;
+    with masses below HiGHS's 1e-7 feasibility tolerance both solvers may
+    stop anywhere inside it."""
     n = space.size
-    c = cost_matrix(a, space).ravel()
+    costs = cost_matrix(a, space)
+    c = costs.ravel()
     b = np.concatenate([nu.weights, mu.weights])
     want = scipy_linprog(c, A_eq=_kron_constraints(n), b_eq=b, bounds=(0, None),
                          method="highs", options={"presolve": False})
     assert want.status == 0
-    x, y, fun = transport.linprog(c, b)
+    x, y, fun = transport._highs_run(c, b, np.arange(n * n))
     assert np.array_equal(x, want.x)
     assert np.array_equal(y, want.eqlin.marginals)
     assert fun == want.fun
+    x, y, fun = transport.linprog(c, b)
+    _assert_certified(costs, nu, mu, x, y, fun)
+    if ordinary:
+        assert fun == pytest.approx(want.fun, rel=1e-12, abs=1e-300)
+
+
+def _assert_line_exact(a, space, nu, mu):
+    """On a line space the certified value is the monotone coupling's."""
+    cost, plan = optimal_cost(a, space, nu, mu)
+    exact = northwest_corner_cost(a, space, nu, mu)
+    _assert_near_exact(a, space, nu, mu, cost, plan, exact, 2e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -413,27 +475,101 @@ def _assert_matches_scipy(a, space, nu, mu):
        layout=st.sampled_from(["planar", "path", "cycle"]),
        seed=st.integers(0, 2**32 - 1))
 def test_linprog_matches_scipy_linprog(n, cost, layout, seed):
-    # pins the direct HiGHS binding to the wrapper it replaces: an
-    # ordinary pair, a zero-mass source and sub-tolerance marginals
+    # pins the direct HiGHS binding to the wrapper it replaced, and column
+    # generation to both
     rng = np.random.default_rng(seed)
-    spacing = float(rng.uniform(0.2, 1.5))
-    space = {"planar": lambda: random_metric_space(rng, n, min_sep=0.0),
-             "path": lambda: path_space(n, spacing),
-             "cycle": lambda: cycle_space(n, spacing)}[layout]()
-    zero = rng.dirichlet(np.ones(n))
-    zero[rng.integers(0, n)] = 0.0
-    pairs = [(random_measure(rng, n), random_measure(rng, n)),
-             (ProbMeasure(zero / zero.sum()), random_measure(rng, n)),
-             (_sub_tolerance_measure(rng, n), _sub_tolerance_measure(rng, n))]
-    for nu, mu in pairs:
-        _assert_matches_scipy(COSTS[cost], space, nu, mu)
+    space = _lp_space(rng, n, layout)
+    for kind, nu, mu in _lp_pairs(rng, n):
+        _assert_matches_scipy(COSTS[cost], space, nu, mu, ordinary=kind != "sub")
+        if kind == "sub" and layout == "path":
+            _assert_line_exact(COSTS[cost], space, nu, mu)
 
 
 def test_linprog_matches_scipy_linprog_on_gaussian_grid():
     space = grid1d_space(101, 0.1, start=-5.0)
     mu = measure_from_dict({"density": "exp(-x**2/2)"}, space)
     nu = ProbMeasure(next(inequalities._tilt_starts(space, mu.weights)))
-    _assert_matches_scipy(PowerYoung(2, 2), space, nu, mu)
+    _assert_matches_scipy(PowerYoung(2, 2), space, nu, mu, ordinary=False)
+    _assert_line_exact(PowerYoung(2, 2), space, nu, mu)
+
+
+def test_column_generation_matches_dense_solve():
+    rounds = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(9, 60), cost=st.integers(0, 2),
+           layout=st.sampled_from(["planar", "path", "cycle"]),
+           seed=st.integers(0, 2**32 - 1))
+    def check(n, cost, layout, seed):
+        rng = np.random.default_rng(seed)
+        space = _lp_space(rng, n, layout)
+        costs = cost_matrix(COSTS[cost], space)
+        c = costs.ravel()
+        real = transport._highs_run
+        for kind, nu, mu in _lp_pairs(rng, n):
+            b = np.concatenate([nu.weights, mu.weights])
+            dense = real(c, b, np.arange(n * n))
+            runs = []
+
+            def spy(*args):
+                runs.append(args[2].size)
+                return real(*args)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(transport, "_highs_run", spy)
+                x, y, fun = transport.linprog(c, b)
+            # every re-solve has more columns than the solve before
+            assert runs == sorted(set(runs))
+            rounds.append(len(runs))
+            _assert_certified(costs, nu, mu, x, y, fun)
+            _assert_certified(costs, nu, mu, *dense)
+            if kind != "sub":
+                assert fun == pytest.approx(dense[2], rel=1e-12, abs=1e-300)
+            else:
+                # each value lies within its certificate above the exact
+                # cost and within its plan's slack below it
+                slack = max(_infeasibility_slack(costs, nu, mu, x.reshape(n, n)),
+                            _infeasibility_slack(costs, nu, mu, dense[0].reshape(n, n)))
+                assert abs(fun - dense[2]) <= 4e-9 + slack
+
+    check()
+    # the first columns do not hold an optimal plan of every pair
+    assert max(rounds) > 1
+
+
+def test_concurrent_solves_of_one_size_match_serial(rng):
+    # each solve builds its own model, so threads may solve one size at
+    # once; three threads on two cores, switching often
+    n = 40
+    space = random_metric_space(rng, n, min_sep=0.0)
+    costs = cost_matrix(PowerYoung(2, 2), space).ravel()
+    inputs = [np.concatenate([random_measure(rng, n).weights,
+                              random_measure(rng, n).weights]) for _ in range(3)]
+    serial = [transport.linprog(costs, b) for b in inputs]
+    barrier = threading.Barrier(len(inputs), timeout=60)
+    results = [None] * len(inputs)
+
+    def solve(k):
+        barrier.wait()
+        results[k] = [transport.linprog(costs, inputs[k]) for _ in range(5)]
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert got is not None
+        for x, y, fun in got:
+            assert np.array_equal(x, want[0])
+            assert np.array_equal(y, want[1])
+            assert fun == want[2]
 
 
 def test_unequal_totals_raise():
